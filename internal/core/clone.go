@@ -51,7 +51,6 @@ func (l *Layout) Clone() *Layout {
 		out.Routes[id] = &route.Net{
 			ID:     rn.ID,
 			Pins:   append([]device.XY(nil), rn.Pins...),
-			Weight: rn.Weight,
 			Route:  append([]route.EdgeID(nil), rn.Route...),
 			Locked: rn.Locked,
 		}

@@ -37,10 +37,10 @@ type Block struct {
 	HasLoc bool
 }
 
-// Net connects two or more blocks; cost is HPWL × Weight.
+// Net connects two or more blocks; its cost is its half-perimeter
+// wirelength (HPWL). A block listed twice on one net counts once.
 type Net struct {
 	Blocks []BlockID
-	Weight float64
 }
 
 // Problem is a placement instance.
@@ -64,32 +64,65 @@ type Options struct {
 // Result reports the final placement and the work performed.
 type Result struct {
 	Loc      []device.XY
-	Cost     float64
+	Cost     int   // total HPWL of the final placement
 	Moves    int64 // attempted moves: the deterministic effort counter
 	Accepted int64
-	Temps    int
 }
 
 type annealer struct {
 	p       *Problem
 	opt     Options
 	rng     *rand.Rand
-	wExt    int // grid width including ring, for site indexing
+	wExt    int         // grid width including ring, for site indexing
+	xy      []device.XY // grid coordinate of every slot index
 	occ     []BlockID
 	loc     []device.XY
 	pos     []int // slot index per block (includes the IOB plane)
 	movable []BlockID
 	// allowed site indices per block (shared slices where possible)
-	allowed   [][]int
+	allowed [][]int
+	// pins lists every net's distinct blocks back to back: net ni owns
+	// pins[pinAt[ni]:pinAt[ni+1]]. blockNets is the inverse, each net
+	// once per block.
+	pins      []BlockID
+	pinAt     []int32
 	blockNets [][]int32
-	cost      float64
-	moves     int64
-	accepted  int64
+	// netCost caches every net's HPWL at the current placement; cost is
+	// their sum. Both change only when a move is accepted.
+	netCost []int
+	cost    int
+	// Scratch of the last evalSwap: the distinct nets the move touches
+	// and their HPWL after it. stamp[ni] == epoch marks a net already
+	// listed in touched.
+	touched  []int32
+	after    []int
+	stamp    []uint32
+	epoch    uint32
+	moves    int64
+	accepted int64
 }
 
 // Anneal solves the placement problem. It returns an error when the
 // problem is infeasible (more blocks than sites in some class or region).
 func Anneal(p *Problem, opt Options) (*Result, error) {
+	a, err := newAnnealer(p, opt)
+	if err != nil {
+		return nil, err
+	}
+	if len(a.movable) > 0 {
+		a.run()
+	}
+	return &Result{
+		Loc:      a.loc,
+		Cost:     a.cost,
+		Moves:    a.moves,
+		Accepted: a.accepted,
+	}, nil
+}
+
+// newAnnealer places every block at its initial site and fills the net
+// cost cache.
+func newAnnealer(p *Problem, opt Options) (*annealer, error) {
 	if opt.Effort <= 0 {
 		opt.Effort = 1.0
 	}
@@ -104,17 +137,13 @@ func Anneal(p *Problem, opt Options) (*Result, error) {
 	if err := a.init(); err != nil {
 		return nil, err
 	}
-	a.cost = a.totalCost()
-	if len(a.movable) > 0 {
-		a.run()
+	a.netCost = make([]int, len(p.Nets))
+	a.stamp = make([]uint32, len(p.Nets))
+	for ni := range p.Nets {
+		a.netCost[ni] = a.netHPWL(int32(ni))
+		a.cost += a.netCost[ni]
 	}
-	return &Result{
-		Loc:      a.loc,
-		Cost:     a.cost,
-		Moves:    a.moves,
-		Accepted: a.accepted,
-		Temps:    0,
-	}, nil
+	return a, nil
 }
 
 // Site indexing uses two planes: plane 0 holds every grid position (CLB
@@ -125,16 +154,14 @@ func (a *annealer) planeSize() int { return a.wExt * (a.p.Dev.H + 2) }
 
 func (a *annealer) siteIdx(p device.XY) int { return p.Y*a.wExt + p.X }
 
-func (a *annealer) siteXY(idx int) device.XY {
-	idx %= a.planeSize()
-	return device.XY{X: idx % a.wExt, Y: idx / a.wExt}
-}
-
 func (a *annealer) init() error {
 	dev := a.p.Dev
-	a.occ = make([]BlockID, device.IOBsPerSite*(dev.W+2)*(dev.H+2))
+	a.occ = make([]BlockID, device.IOBsPerSite*a.planeSize())
+	a.xy = make([]device.XY, len(a.occ))
 	for i := range a.occ {
 		a.occ[i] = -1
+		idx := i % a.planeSize()
+		a.xy[i] = device.XY{X: idx % a.wExt, Y: idx / a.wExt}
 	}
 	// Precompute the unconstrained site lists.
 	clbSites := make([]int, 0, dev.NumCLBSites())
@@ -166,7 +193,7 @@ func (a *annealer) init() error {
 		}
 		var filtered []int
 		for _, s := range base {
-			if b.Region.Contains(a.siteXY(s)) {
+			if b.Region.Contains(a.xy[s]) {
 				filtered = append(filtered, s)
 			}
 		}
@@ -218,7 +245,7 @@ func (a *annealer) init() error {
 			if a.occ[s] == -1 {
 				a.occ[s] = bid
 				a.pos[bid] = s
-				a.loc[bid] = a.siteXY(s)
+				a.loc[bid] = a.xy[s]
 				placed[bid] = true
 				ok = true
 				break
@@ -230,13 +257,20 @@ func (a *annealer) init() error {
 		}
 	}
 
-	// Per-block net membership.
+	// Net pins and per-block net membership. Nets are visited in order,
+	// so a block listed twice on a net is the last entry of its list.
 	a.blockNets = make([][]int32, len(a.p.Blocks))
+	a.pinAt = make([]int32, 0, len(a.p.Nets)+1)
 	for ni := range a.p.Nets {
+		a.pinAt = append(a.pinAt, int32(len(a.pins)))
 		for _, b := range a.p.Nets[ni].Blocks {
-			a.blockNets[b] = append(a.blockNets[b], int32(ni))
+			if l := a.blockNets[b]; len(l) == 0 || l[len(l)-1] != int32(ni) {
+				a.blockNets[b] = append(l, int32(ni))
+				a.pins = append(a.pins, b)
+			}
 		}
 	}
+	a.pinAt = append(a.pinAt, int32(len(a.pins)))
 	return nil
 }
 
@@ -266,67 +300,21 @@ func (a *annealer) claim(bid BlockID, p device.XY) error {
 	return fmt.Errorf("place: site %v full; cannot place %q", p, b.Name)
 }
 
-// netHPWL computes a net's half-perimeter wirelength.
-func (a *annealer) netHPWL(ni int32) float64 {
-	n := &a.p.Nets[ni]
-	if len(n.Blocks) < 2 {
+// netHPWL computes a net's half-perimeter wirelength from the current
+// block locations.
+func (a *annealer) netHPWL(ni int32) int {
+	pins := a.pins[a.pinAt[ni]:a.pinAt[ni+1]]
+	if len(pins) < 2 {
 		return 0
 	}
-	first := a.loc[n.Blocks[0]]
+	first := a.loc[pins[0]]
 	minX, maxX, minY, maxY := first.X, first.X, first.Y, first.Y
-	for _, b := range n.Blocks[1:] {
+	for _, b := range pins[1:] {
 		p := a.loc[b]
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.X > maxX {
-			maxX = p.X
-		}
-		if p.Y < minY {
-			minY = p.Y
-		}
-		if p.Y > maxY {
-			maxY = p.Y
-		}
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
 	}
-	w := n.Weight
-	if w == 0 {
-		w = 1
-	}
-	return w * float64((maxX-minX)+(maxY-minY))
-}
-
-func (a *annealer) totalCost() float64 {
-	c := 0.0
-	for ni := range a.p.Nets {
-		c += a.netHPWL(int32(ni))
-	}
-	return c
-}
-
-// affectedCost sums the HPWL of every net touching either block,
-// deduplicating shared nets.
-func (a *annealer) affectedCost(b1 BlockID, b2 BlockID) float64 {
-	c := 0.0
-	for _, ni := range a.blockNets[b1] {
-		c += a.netHPWL(ni)
-	}
-	for _, ni := range a.blockNets[b2] {
-		if b2 == b1 {
-			break
-		}
-		shared := false
-		for _, nj := range a.blockNets[b1] {
-			if ni == nj {
-				shared = true
-				break
-			}
-		}
-		if !shared {
-			c += a.netHPWL(ni)
-		}
-	}
-	return c
+	return (maxX - minX) + (maxY - minY)
 }
 
 // run executes the annealing schedule.
@@ -342,7 +330,7 @@ func (a *annealer) run() {
 		t /= 20
 	}
 	rlim := float64(max(a.p.Dev.W, a.p.Dev.H))
-	minT := 0.005 * (a.cost + 1) / float64(len(a.p.Nets)+1)
+	minT := 0.005 * float64(a.cost+1) / float64(len(a.p.Nets)+1)
 	for {
 		acc := 0
 		for m := 0; m < movesPerT; m++ {
@@ -389,7 +377,7 @@ func (a *annealer) initialTemp(n int) float64 {
 	}
 	var sum, sumSq float64
 	for i := 0; i < probes; i++ {
-		d := a.probeDelta()
+		d := float64(a.probeDelta())
 		sum += d
 		sumSq += d * d
 	}
@@ -402,7 +390,7 @@ func (a *annealer) initialTemp(n int) float64 {
 }
 
 // probeDelta evaluates (without applying) a random move's cost delta.
-func (a *annealer) probeDelta() float64 {
+func (a *annealer) probeDelta() int {
 	bid := a.movable[a.rng.Intn(len(a.movable))]
 	sites := a.allowed[bid]
 	if len(sites) == 0 {
@@ -413,27 +401,61 @@ func (a *annealer) probeDelta() float64 {
 	if other != -1 && (a.p.Blocks[other].Fixed || other == bid) {
 		return 0
 	}
-	return a.evalSwap(bid, s, other, true)
+	return a.evalSwap(bid, s, other)
 }
 
-// evalSwap computes the cost delta of moving bid to slot s (swapping with
-// other if present); when revert is true the move is undone afterwards.
-func (a *annealer) evalSwap(bid BlockID, s int, other BlockID, revert bool) float64 {
-	oldIdx := a.pos[bid]
-	before := a.affectedCost(bid, otherOr(bid, other))
-	a.applySwap(bid, oldIdx, s, other)
-	after := a.affectedCost(bid, otherOr(bid, other))
-	if revert {
-		a.applySwap(bid, s, oldIdx, other)
+// evalSwap computes the exact cost delta of moving bid to slot s,
+// swapping with other if present, without applying the move. Only the
+// nets touching the two blocks are recomputed, under the two blocks'
+// would-be locations; their cost before the move comes from the cache.
+// The touched nets and their new costs stay in the scratch for commit.
+func (a *annealer) evalSwap(bid BlockID, s int, other BlockID) int {
+	a.epoch++
+	if a.epoch == 0 { // wrapped: no stale stamp may alias the new epoch
+		clear(a.stamp)
+		a.epoch = 1
 	}
-	return after - before
+	a.touched = a.touched[:0]
+	bidLoc := a.loc[bid]
+	a.loc[bid] = a.xy[s]
+	a.touchNets(bid)
+	var otherLoc device.XY
+	if other != -1 {
+		otherLoc = a.loc[other]
+		a.loc[other] = bidLoc
+		a.touchNets(other)
+	}
+	a.after = a.after[:0]
+	delta := 0
+	for _, ni := range a.touched {
+		c := a.netHPWL(ni)
+		a.after = append(a.after, c)
+		delta += c - a.netCost[ni]
+	}
+	a.loc[bid] = bidLoc
+	if other != -1 {
+		a.loc[other] = otherLoc
+	}
+	return delta
 }
 
-func otherOr(bid, other BlockID) BlockID {
-	if other == -1 {
-		return bid
+// touchNets appends b's nets not yet in the scratch to it.
+func (a *annealer) touchNets(b BlockID) {
+	for _, ni := range a.blockNets[b] {
+		if a.stamp[ni] != a.epoch {
+			a.stamp[ni] = a.epoch
+			a.touched = append(a.touched, ni)
+		}
 	}
-	return other
+}
+
+// commit applies the move evalSwap last evaluated, with its delta.
+func (a *annealer) commit(bid BlockID, s int, other BlockID, delta int) {
+	a.applySwap(bid, a.pos[bid], s, other)
+	for i, ni := range a.touched {
+		a.netCost[ni] = a.after[i]
+	}
+	a.cost += delta
 }
 
 func (a *annealer) applySwap(bid BlockID, from, to int, other BlockID) {
@@ -441,11 +463,11 @@ func (a *annealer) applySwap(bid BlockID, from, to int, other BlockID) {
 	if other != -1 {
 		a.occ[from] = other
 		a.pos[other] = from
-		a.loc[other] = a.siteXY(from)
+		a.loc[other] = a.xy[from]
 	}
 	a.occ[to] = bid
 	a.pos[bid] = to
-	a.loc[bid] = a.siteXY(to)
+	a.loc[bid] = a.xy[to]
 }
 
 // tryMove attempts one annealing move and reports acceptance.
@@ -461,7 +483,7 @@ func (a *annealer) tryMove(t float64, rlim int) bool {
 	s := -1
 	for k := 0; k < 8; k++ {
 		cand := sites[a.rng.Intn(len(sites))]
-		p := a.siteXY(cand)
+		p := a.xy[cand]
 		if abs(p.X-cur.X) <= rlim && abs(p.Y-cur.Y) <= rlim {
 			s = cand
 			break
@@ -485,14 +507,13 @@ func (a *annealer) tryMove(t float64, rlim int) bool {
 			return false
 		}
 	}
-	delta := a.evalSwap(bid, s, other, true)
+	delta := a.evalSwap(bid, s, other)
 	accept := delta <= 0
 	if !accept && t > 0 {
-		accept = a.rng.Float64() < math.Exp(-delta/t)
+		accept = a.rng.Float64() < math.Exp(-float64(delta)/t)
 	}
 	if accept {
-		a.applySwap(bid, a.pos[bid], s, other)
-		a.cost += delta
+		a.commit(bid, s, other, delta)
 		a.accepted++
 	}
 	return accept
@@ -503,11 +524,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

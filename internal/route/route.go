@@ -87,10 +87,9 @@ func (g *Grid) neighbors(n int32, visit func(edge EdgeID, to int32)) {
 // Net is one signal to route. Pins[0] is the source; Route is the solver
 // output (a set of edges forming a tree over the pins).
 type Net struct {
-	ID     int
-	Pins   []device.XY
-	Weight float64
-	Route  []EdgeID
+	ID    int
+	Pins  []device.XY
+	Route []EdgeID
 	// Locked routes are never ripped up; their usage must be passed in
 	// Options.FixedUse (or charged into the Router) by the caller.
 	Locked bool

@@ -609,6 +609,9 @@ type Service struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
+	// baselines counts in-flight full re-P&R baselines (baseline.go);
+	// Close waits for them after the workers.
+	baselines sync.WaitGroup
 }
 
 // New starts a service with cfg.Workers campaign workers. Use Open when
@@ -953,6 +956,7 @@ func (s *Service) Close() {
 	if s.closed {
 		s.mu.Unlock()
 		s.wg.Wait()
+		s.baselines.Wait()
 		return
 	}
 	s.closed = true
@@ -974,6 +978,9 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()
+	// Only workers start baselines, so none can start once they are
+	// drained.
+	s.baselines.Wait()
 	// The workers are drained. A Submit racing Close may still attempt
 	// one journal append after this; the store rejects appends once
 	// closed and the service counts that as a journal error.
@@ -1284,15 +1291,26 @@ func (s *Service) runCampaign(ctx context.Context, c *campaign) (*Result, error)
 	}
 
 	// 4. Full re-P&R baseline of the pristine layout — the non-tiled
-	// comparison point, identical for every campaign on this layout.
-	v, hit, err = s.cache.GetOrBuild(lkey+"/fullpr", func() (any, int64, error) {
-		eff, err := pool.pristine.FullRePlaceRoute(spec.Seed + 1000)
-		return eff, 64, err
+	// comparison point, identical for every campaign on this layout. It
+	// only reads the pristine layout, so it runs on its own goroutine
+	// while this campaign debugs; the cache holds the future, and the
+	// result is awaited only when the campaign's result is assembled.
+	// The campaign that built the cache entry starts the future once the
+	// entry is in place, so a failed baseline can always drop it again.
+	fkey := lkey + "/fullpr"
+	v, hit, err = s.cache.GetOrBuild(fkey, func() (any, int64, error) {
+		return newBaselineFuture(), 64, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", spec.Design, err)
 	}
-	fullEffort := v.(core.Effort)
+	baseline := v.(*baselineFuture)
+	if !hit {
+		seed := spec.Seed + 1000
+		baseline.start(&s.baselines, func() (core.Effort, error) {
+			return pool.pristine.FullRePlaceRoute(seed)
+		}, func() { s.cache.Forget(fkey, baseline) })
+	}
 	c.appendEvent("baseline", 0, "full re-P&R baseline (%s)", count(hit))
 
 	// 5. The debugging loop, with context, progress and the golden-trace
@@ -1391,6 +1409,10 @@ func (s *Service) runCampaign(ctx context.Context, c *campaign) (*Result, error)
 		res.Overlay = true
 		res.OverlaySwitches = sess.OverlaySwitches
 		res.OverlayFallbacks = sess.OverlayFallbacks
+	}
+	fullEffort, err := baseline.wait(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("baseline %s: %w", spec.Design, err)
 	}
 	res.TileWork = sess.TileEffort.Work()
 	res.FullWork = fullEffort.Work()
