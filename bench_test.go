@@ -155,46 +155,6 @@ func BenchmarkWideTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedKernels is the fusion ablation: the wide replay of
-// BenchmarkWideTrace with the fused LUT-chain schedule disabled
-// (SetFusion(false)), so the difference against BenchmarkWideTrace
-// isolates what the combined pair-table kernels buy on their own.
-func BenchmarkFusedKernels(b *testing.B) {
-	const W = 8
-	for _, name := range simBenchSet() {
-		b.Run(name, func(b *testing.B) {
-			info, err := bench.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mapped, err := experiments.Mapped(info)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := sim.CompileWidth(mapped, W)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pis := m.Netlist().SortedPINames()
-			if err := m.BindNames(pis); err != nil {
-				b.Fatal(err)
-			}
-			m.SetFusion(false)
-			stim := testgen.RandomBlocks(len(pis)*W, simTraceCycles, 1)
-			var tr sim.Trace
-			m.RunTraceInto(&tr, stim)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.RunTraceInto(&tr, stim)
-			}
-			b.StopTimer()
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(perOp/float64(simTraceCycles*64*W), "ns/pattern-cycle")
-		})
-	}
-}
-
 // BenchmarkSimStep is the baseline: the same stimulus through the legacy
 // map-driven cover interpreter (per-cycle map allocation and string
 // hashing), for the trace-vs-step speedup the acceptance tracks.

@@ -38,7 +38,6 @@ func main() {
 		jsonOut   = flag.String("json-out", "BENCH_sim.json", "output path for -json")
 		simCycles = flag.Int("sim-cycles", 256, "stimulus depth of the -json micro-benchmark")
 		simLanes  = flag.Int("lanes", 512, "parallel lanes of the wide -json rows (multiple of 64; 64 = width-1 only)")
-		simWork   = flag.Int("sim-workers", 0, "level-parallel evaluation goroutines for the wide -json rows (0/1 = serial)")
 		jsonSvc   = flag.Bool("json-service", false, "run the campaign-service load test and write BENCH_service.json")
 		svcOut    = flag.String("json-service-out", "BENCH_service.json", "output path for -json-service")
 		svcN      = flag.Int("service-campaigns", 64, "campaigns in the -json-service burst")
@@ -189,7 +188,7 @@ func main() {
 		if w := *simLanes / 64; w > 1 {
 			widths = append(widths, w)
 		}
-		rows, err := experiments.SimBench(cfg, *simCycles, widths, *simWork)
+		rows, err := experiments.SimBench(cfg, *simCycles, widths)
 		if err != nil {
 			die(err)
 		}

@@ -17,10 +17,10 @@
 // test-logic builders (internal/instr), design-error injection
 // (internal/faults) and pattern generation (internal/testgen),
 // engineering-change tracing (internal/eco), partial bitstream generation
-// (internal/bitstream), FM partitioning (internal/partition), the nine
-// benchmark generators (internal/bench), the evaluation harness
-// (internal/experiments), and the concurrent debug-campaign service
-// (internal/service) served over HTTP by cmd/fpgadbgd.
+// (internal/bitstream), the nine benchmark generators (internal/bench),
+// the evaluation harness (internal/experiments), and the concurrent
+// debug-campaign service (internal/service) served over HTTP by
+// cmd/fpgadbgd.
 //
 // See DESIGN.md for the system inventory (the compiled emulation
 // substrate is §3) and EXPERIMENTS.md for paper-versus-measured results.

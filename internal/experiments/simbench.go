@@ -20,26 +20,22 @@ import (
 // is tracked across PRs. Rows with LaneWidth 0 (from older files) are
 // width-1 rows.
 type SimBenchRow struct {
-	Design       string  `json:"design"`
-	LUTs         int     `json:"luts"`
-	DFFs         int     `json:"dffs"`
-	Cycles       int     `json:"cycles"`
-	LaneWidth    int     `json:"lane_width"`
-	FusedKernels int     `json:"fused_kernels"`
-	Workers      int     `json:"workers,omitempty"`
-	TraceNs      float64 `json:"trace_ns_per_pattern_cycle"`
-	StepNs       float64 `json:"step_ns_per_pattern_cycle"`
-	Speedup      float64 `json:"speedup"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
+	Design      string  `json:"design"`
+	LUTs        int     `json:"luts"`
+	DFFs        int     `json:"dffs"`
+	Cycles      int     `json:"cycles"`
+	LaneWidth   int     `json:"lane_width"`
+	TraceNs     float64 `json:"trace_ns_per_pattern_cycle"`
+	StepNs      float64 `json:"step_ns_per_pattern_cycle"`
+	Speedup     float64 `json:"speedup"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // SimBench measures the emulation substrate on the tech-mapped designs,
-// one row per design per requested lane width (64·W lanes). workers > 1
-// additionally enables level-parallel evaluation on machines whose
-// levels are wide enough to split. Unlike the other experiments it runs
-// designs serially — concurrent timing would skew the numbers it exists
-// to record.
-func SimBench(cfg Config, cycles int, widths []int, workers int) ([]SimBenchRow, error) {
+// one row per design per requested lane width (64·W lanes). Unlike the
+// other experiments it runs designs serially — concurrent timing would
+// skew the numbers it exists to record.
+func SimBench(cfg Config, cycles int, widths []int) ([]SimBenchRow, error) {
 	cfg = cfg.withDefaults()
 	if cycles < 1 {
 		cycles = 256
@@ -92,25 +88,19 @@ func SimBench(cfg Config, cycles int, widths []int, workers int) ([]SimBenchRow,
 			if err := m.BindNames(pis); err != nil {
 				return nil, err
 			}
-			if workers > 1 {
-				m.SetWorkers(workers)
-			}
 			stim := testgen.RandomBlocks(len(pis)*W, cycles, cfg.Seed)
 			var tr sim.Trace
 			m.RunTraceInto(&tr, stim) // warm buffers
 			traceNs, allocs := timeNsAllocs(func() { m.RunTraceInto(&tr, stim) })
-			m.SetWorkers(0)
 
 			patCycles := float64(cycles * 64 * W)
 			rows = append(rows, SimBenchRow{
 				Design: d.Name, LUTs: luts, DFFs: dffs, Cycles: cycles,
-				LaneWidth:    W,
-				FusedKernels: m.FusedKernels(),
-				Workers:      workers,
-				TraceNs:      traceNs / patCycles,
-				StepNs:       stepNs / float64(cycles*64),
-				Speedup:      stepNs / float64(cycles*64) / (traceNs / patCycles),
-				AllocsPerOp:  allocs,
+				LaneWidth:   W,
+				TraceNs:     traceNs / patCycles,
+				StepNs:      stepNs / float64(cycles*64),
+				Speedup:     stepNs / float64(cycles*64) / (traceNs / patCycles),
+				AllocsPerOp: allocs,
 			})
 		}
 	}
@@ -162,15 +152,15 @@ func timeNsAllocs(f func()) (float64, float64) {
 func FormatSimBench(rows []SimBenchRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Simulator micro-benchmark (ns per pattern-cycle)")
-	fmt.Fprintf(&b, "%-11s %6s %6s %6s %6s %10s %10s %9s %8s\n",
-		"design", "LUTs", "DFFs", "lanes", "fused", "trace", "step", "speedup", "allocs")
+	fmt.Fprintf(&b, "%-11s %6s %6s %6s %10s %10s %9s %8s\n",
+		"design", "LUTs", "DFFs", "lanes", "trace", "step", "speedup", "allocs")
 	for _, r := range rows {
 		w := r.LaneWidth
 		if w == 0 {
 			w = 1
 		}
-		fmt.Fprintf(&b, "%-11s %6d %6d %6d %6d %10.2f %10.2f %8.1fx %8.1f\n",
-			r.Design, r.LUTs, r.DFFs, 64*w, r.FusedKernels, r.TraceNs, r.StepNs, r.Speedup, r.AllocsPerOp)
+		fmt.Fprintf(&b, "%-11s %6d %6d %6d %10.2f %10.2f %8.1fx %8.1f\n",
+			r.Design, r.LUTs, r.DFFs, 64*w, r.TraceNs, r.StepNs, r.Speedup, r.AllocsPerOp)
 	}
 	return b.String()
 }

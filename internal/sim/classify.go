@@ -15,8 +15,8 @@ package sim
 // Classification is purely an execution-plan choice: the node keeps its
 // truth table and expanded pair table, its fanin CSR stays in cell pin
 // order, and the perturbed (hooked) pass still evaluates classified nodes
-// through the generic table kernels, so lane faults, lane patches and
-// fused-pair composition are untouched.
+// through the generic table kernels, so lane faults and lane patches are
+// untouched.
 //
 // Descriptor layout (bit positions in node.msk):
 //

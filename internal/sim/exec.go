@@ -1,27 +1,20 @@
 package sim
 
-// Evaluation passes of the execution core. Every pass is expressed as a
-// half-open range [lo, hi) over its node schedule so the level-parallel
-// pool (parallel.go) can hand contiguous chunks of one topological level
-// to different goroutines; serial evaluation is the full-range call.
+// Evaluation passes of the execution core. Every pass walks the whole
+// level-major node schedule once; the width decides which one Eval runs:
 //
-// Three passes exist:
-//
-//   - evalXRange: the fused fast path over xnodes — pairs of
-//     single-fanout LUT chains collapsed into one two-table kernel
-//     (fused.go), everything else mirroring the plain program;
-//   - evalPlainRange: the plain one-LUT-per-kernel program, used with
-//     fusion ablated (SetFusion(false)) and as the fallback schedule;
-//   - evalHookedRange: the plain program plus the per-node override,
+//   - evalPlainRange1: width 1, one uint64 per net — the 64-lane hot path,
+//     bit-identical to the pre-vector engine;
+//   - evalPlainRangeB: widths divisible by four, streaming each node's
+//     lane vector through the four-word block kernels in kernels4.go;
+//   - evalHookedRange: the stride-W program plus the per-node override,
 //     lane-fault and lane-patch hooks — the fault- and repair-parallel
-//     pass. Kept separate so the unperturbed paths pay nothing for the
-//     hooks.
+//     pass. Unperturbed widths above 1 that are not a multiple of four run
+//     it too: with no hook armed its three nil checks are all it adds.
 //
-// Each pass comes in a width-1 specialization (one uint64 per net,
-// bit-identical to the pre-vector engine) and a stride-W loop that
-// amortizes kernel dispatch over the whole lane vector: the opcode
-// switch, table slicing and fanin index arithmetic are paid once per
-// node, then W words stream through straight-line word arithmetic.
+// The opcode switch, table slicing and fanin index arithmetic are paid
+// once per node, then the lane words stream through straight-line word
+// arithmetic.
 
 import "unsafe"
 
@@ -31,23 +24,13 @@ import "unsafe"
 // bounds checks — the difference between a ~1.3x and a >2x vector win.
 type vec4 = [4]uint64
 
-func (m *Machine) evalPlainRange(lo, hi int32, buf []uint64) {
-	switch {
-	case m.width == 1:
-		m.evalPlainRange1(lo, hi, buf)
-	case m.width%4 == 0:
-		m.evalPlainRangeB(lo, hi, buf)
-	default:
-		m.evalPlainRangeW(lo, hi, buf)
-	}
-}
-
-func (m *Machine) evalPlainRange1(lo, hi int32, buf []uint64) {
+func (m *Machine) evalPlainRange1() {
 	v := m.val
 	fan := m.fanin
 	ttab := m.ttab
 	nodes := m.nodes
-	for i := lo; i < hi; i++ {
+	buf := m.buf
+	for i := range nodes {
 		n := nodes[i]
 		s := n.start
 		switch n.op {
@@ -67,244 +50,22 @@ func (m *Machine) evalPlainRange1(lo, hi int32, buf []uint64) {
 				b[j] = v[fan[s+j]]
 			}
 			v[n.out] = m.covers[n.aux].EvalWords(b)
-		}
-	}
-}
-
-func (m *Machine) evalPlainRangeW(lo, hi int32, buf []uint64) {
-	W := m.width
-	v := m.val
-	fan := m.fanin
-	ttab := m.ttab
-	nodes := m.nodes
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		s := n.start
-		o := int(n.out) * W
-		switch n.op {
-		case opTT2, opXor2, opChain2:
-			t := ttab[n.aux : n.aux+4 : n.aux+4]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab2(t, v[a+w], v[b+w])
-			}
-		case opTT3, opXor3, opChain3, opMux3, opMaj3:
-			t := ttab[n.aux : n.aux+8 : n.aux+8]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			c := int(fan[s+2]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab3(t, v[a+w], v[b+w], v[c+w])
-			}
-		case opTT4, opXor4, opChain4, opTree4, opSplit4:
-			t := ttab[n.aux : n.aux+16 : n.aux+16]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			c := int(fan[s+2]) * W
-			d := int(fan[s+3]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab4(t, v[a+w], v[b+w], v[c+w], v[d+w])
-			}
-		case opTT1:
-			t := ttab[n.aux : n.aux+2 : n.aux+2]
-			a := int(fan[s]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab1(t, v[a+w])
-			}
-		case opConst:
-			cw := -uint64(n.tt & 1)
-			for w := 0; w < W; w++ {
-				v[o+w] = cw
-			}
-		default: // opCover
-			cv := &m.covers[n.aux]
-			b := buf[:n.nin]
-			for w := 0; w < W; w++ {
-				for j := int32(0); j < n.nin; j++ {
-					b[j] = v[int(fan[s+j])*W+w]
-				}
-				v[o+w] = cv.EvalWords(b)
-			}
-		}
-	}
-}
-
-func (m *Machine) evalXRange(lo, hi int32, buf []uint64) {
-	switch {
-	case m.width == 1:
-		m.evalXRange1(lo, hi, buf)
-	case m.width%4 == 0:
-		m.evalXRangeB(lo, hi, buf)
-	default:
-		m.evalXRangeW(lo, hi, buf)
-	}
-}
-
-func (m *Machine) evalXRange1(lo, hi int32, buf []uint64) {
-	v := m.val
-	fan := m.fanin
-	xf := m.xfan
-	ttab := m.ttab
-	nodes := m.xnodes
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		s := n.start
-		switch n.op {
-		case opTT2, opXor2, opChain2:
-			v[n.out] = evalTab2(ttab[n.aux:n.aux+4:n.aux+4], v[fan[s]], v[fan[s+1]])
-		case opFused2:
-			a, b := v[xf[s]], v[xf[s+1]]
-			v[n.out2] = evalTab2(ttab[n.aux2:n.aux2+4:n.aux2+4], a, b)
-			v[n.out] = evalTab2(ttab[n.aux:n.aux+4:n.aux+4], a, b)
-		case opTT3, opXor3, opChain3, opMux3, opMaj3:
-			v[n.out] = evalTab3(ttab[n.aux:n.aux+8:n.aux+8], v[fan[s]], v[fan[s+1]], v[fan[s+2]])
-		case opFused3:
-			a, b, c := v[xf[s]], v[xf[s+1]], v[xf[s+2]]
-			v[n.out2] = evalTab3(ttab[n.aux2:n.aux2+8:n.aux2+8], a, b, c)
-			v[n.out] = evalTab3(ttab[n.aux:n.aux+8:n.aux+8], a, b, c)
-		case opTT4, opXor4, opChain4, opTree4, opSplit4:
-			v[n.out] = evalTab4(ttab[n.aux:n.aux+16:n.aux+16], v[fan[s]], v[fan[s+1]], v[fan[s+2]], v[fan[s+3]])
-		case opFused4:
-			a, b, c, d := v[xf[s]], v[xf[s+1]], v[xf[s+2]], v[xf[s+3]]
-			v[n.out2] = evalTab4(ttab[n.aux2:n.aux2+16:n.aux2+16], a, b, c, d)
-			v[n.out] = evalTab4(ttab[n.aux:n.aux+16:n.aux+16], a, b, c, d)
-		case opTT1:
-			v[n.out] = evalTab1(ttab[n.aux:n.aux+2:n.aux+2], v[fan[s]])
-		case opFused1:
-			a := v[xf[s]]
-			v[n.out2] = evalTab1(ttab[n.aux2:n.aux2+2:n.aux2+2], a)
-			v[n.out] = evalTab1(ttab[n.aux:n.aux+2:n.aux+2], a)
-		case opConst:
-			v[n.out] = -uint64(n.tt & 1)
-		default: // opCover
-			b := buf[:n.nin]
-			for j := int32(0); j < n.nin; j++ {
-				b[j] = v[fan[s+j]]
-			}
-			v[n.out] = m.covers[n.aux].EvalWords(b)
-		}
-	}
-}
-
-func (m *Machine) evalXRangeW(lo, hi int32, buf []uint64) {
-	W := m.width
-	v := m.val
-	fan := m.fanin
-	xf := m.xfan
-	ttab := m.ttab
-	nodes := m.xnodes
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		s := n.start
-		o := int(n.out) * W
-		switch n.op {
-		case opTT2, opXor2, opChain2:
-			t := ttab[n.aux : n.aux+4 : n.aux+4]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab2(t, v[a+w], v[b+w])
-			}
-		case opFused2:
-			t := ttab[n.aux : n.aux+4 : n.aux+4]
-			t2 := ttab[n.aux2 : n.aux2+4 : n.aux2+4]
-			a := int(xf[s]) * W
-			b := int(xf[s+1]) * W
-			o2 := int(n.out2) * W
-			for w := 0; w < W; w++ {
-				av, bv := v[a+w], v[b+w]
-				v[o2+w] = evalTab2(t2, av, bv)
-				v[o+w] = evalTab2(t, av, bv)
-			}
-		case opTT3, opXor3, opChain3, opMux3, opMaj3:
-			t := ttab[n.aux : n.aux+8 : n.aux+8]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			c := int(fan[s+2]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab3(t, v[a+w], v[b+w], v[c+w])
-			}
-		case opFused3:
-			t := ttab[n.aux : n.aux+8 : n.aux+8]
-			t2 := ttab[n.aux2 : n.aux2+8 : n.aux2+8]
-			a := int(xf[s]) * W
-			b := int(xf[s+1]) * W
-			c := int(xf[s+2]) * W
-			o2 := int(n.out2) * W
-			for w := 0; w < W; w++ {
-				av, bv, cv := v[a+w], v[b+w], v[c+w]
-				v[o2+w] = evalTab3(t2, av, bv, cv)
-				v[o+w] = evalTab3(t, av, bv, cv)
-			}
-		case opTT4, opXor4, opChain4, opTree4, opSplit4:
-			t := ttab[n.aux : n.aux+16 : n.aux+16]
-			a := int(fan[s]) * W
-			b := int(fan[s+1]) * W
-			c := int(fan[s+2]) * W
-			d := int(fan[s+3]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab4(t, v[a+w], v[b+w], v[c+w], v[d+w])
-			}
-		case opFused4:
-			t := ttab[n.aux : n.aux+16 : n.aux+16]
-			t2 := ttab[n.aux2 : n.aux2+16 : n.aux2+16]
-			a := int(xf[s]) * W
-			b := int(xf[s+1]) * W
-			c := int(xf[s+2]) * W
-			d := int(xf[s+3]) * W
-			o2 := int(n.out2) * W
-			for w := 0; w < W; w++ {
-				av, bv, cv, dv := v[a+w], v[b+w], v[c+w], v[d+w]
-				v[o2+w] = evalTab4(t2, av, bv, cv, dv)
-				v[o+w] = evalTab4(t, av, bv, cv, dv)
-			}
-		case opTT1:
-			t := ttab[n.aux : n.aux+2 : n.aux+2]
-			a := int(fan[s]) * W
-			for w := 0; w < W; w++ {
-				v[o+w] = evalTab1(t, v[a+w])
-			}
-		case opFused1:
-			t := ttab[n.aux : n.aux+2 : n.aux+2]
-			t2 := ttab[n.aux2 : n.aux2+2 : n.aux2+2]
-			a := int(xf[s]) * W
-			o2 := int(n.out2) * W
-			for w := 0; w < W; w++ {
-				av := v[a+w]
-				v[o2+w] = evalTab1(t2, av)
-				v[o+w] = evalTab1(t, av)
-			}
-		case opConst:
-			cw := -uint64(n.tt & 1)
-			for w := 0; w < W; w++ {
-				v[o+w] = cw
-			}
-		default: // opCover
-			cv := &m.covers[n.aux]
-			b := buf[:n.nin]
-			for w := 0; w < W; w++ {
-				for j := int32(0); j < n.nin; j++ {
-					b[j] = v[int(fan[s+j])*W+w]
-				}
-				v[o+w] = cv.EvalWords(b)
-			}
 		}
 	}
 }
 
 // evalHookedRange is the perturbed pass: the plain program with the
-// per-node override, lane-mutation and lane-patch hooks. The opcode
-// dispatch is shared across the lane vector like the other stride-W
-// loops; the hooks then touch only the specific lane words their masks
-// address.
-func (m *Machine) evalHookedRange(lo, hi int32, buf []uint64) {
+// per-node override, lane-mutation and lane-patch hooks, at any width.
+// Each node's opcode dispatch is shared across its whole lane vector; the
+// hooks then touch only the specific lane words their masks address.
+func (m *Machine) evalHookedRange() {
 	W := m.width
 	v := m.val
 	fan := m.fanin
 	ttab := m.ttab
 	nodes := m.nodes
-	for i := lo; i < hi; i++ {
+	buf := m.buf
+	for i := range nodes {
 		n := nodes[i]
 		s := n.start
 		o := int(n.out) * W
@@ -384,7 +145,7 @@ func (m *Machine) evalHookedRange(lo, hi int32, buf []uint64) {
 // kernels in kernels4.go in W/4 calls. At W=4 the block loop collapses to
 // a single kernel call per node; wider machines amortize the dispatch
 // over more words.
-func (m *Machine) evalPlainRangeB(lo, hi int32, buf []uint64) {
+func (m *Machine) evalPlainRangeB() {
 	W := m.width
 	v := m.val
 	// Every block below is addressed as base + 8·(net·W + x) with
@@ -396,7 +157,8 @@ func (m *Machine) evalPlainRangeB(lo, hi int32, buf []uint64) {
 	fanB := m.fanB
 	outB := m.outB
 	nodes := m.nodes
-	for i := lo; i < hi; i++ {
+	buf := m.buf
+	for i := range nodes {
 		n := nodes[i]
 		s := n.start
 		o := int(outB[i])
@@ -426,199 +188,6 @@ func (m *Machine) evalPlainRangeB(lo, hi int32, buf []uint64) {
 			a := int(fanB[s])
 			for x := 0; x < W; x += 4 {
 				evalTab1r(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opXor2:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			for x := 0; x < W; x += 4 {
-				evalXor2x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opXor3:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			c := int(fanB[s+2])
-			for x := 0; x < W; x += 4 {
-				evalXor3x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opXor4:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			c := int(fanB[s+2])
-			d := int(fanB[s+3])
-			for x := 0; x < W; x += 4 {
-				evalXor4x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(d+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opChain2:
-			p := &permTab[n.msk>>10]
-			a := int(fanB[s+int32(p[0])])
-			b := int(fanB[s+int32(p[1])])
-			for x := 0; x < W; x += 4 {
-				evalChain2x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opChain3:
-			p := &permTab[n.msk>>10]
-			a := int(fanB[s+int32(p[0])])
-			b := int(fanB[s+int32(p[1])])
-			c := int(fanB[s+int32(p[2])])
-			for x := 0; x < W; x += 4 {
-				evalChain3x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opChain4:
-			p := &permTab[n.msk>>10]
-			a := int(fanB[s+int32(p[0])])
-			b := int(fanB[s+int32(p[1])])
-			c := int(fanB[s+int32(p[2])])
-			d := int(fanB[s+int32(p[3])])
-			for x := 0; x < W; x += 4 {
-				evalChain4x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(d+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opTree4:
-			p := &permTab[n.msk>>10]
-			a := int(fanB[s+int32(p[0])])
-			b := int(fanB[s+int32(p[1])])
-			c := int(fanB[s+int32(p[2])])
-			d := int(fanB[s+int32(p[3])])
-			for x := 0; x < W; x += 4 {
-				evalTree4x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(d+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opMux3:
-			p := &permTab[n.msk>>10]
-			sn := int(fanB[s+int32(p[0])])
-			a := int(fanB[s+int32(p[1])])
-			b := int(fanB[s+int32(p[2])])
-			for x := 0; x < W; x += 4 {
-				evalMux3x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(sn+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opMaj3:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			c := int(fanB[s+2])
-			for x := 0; x < W; x += 4 {
-				evalMaj3x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opSplit4:
-			p := &permTab[n.msk>>10&31]
-			a := int(fanB[s+int32(p[0])])
-			b := int(fanB[s+int32(p[1])])
-			c := int(fanB[s+int32(p[2])])
-			d := int(fanB[s+int32(p[3])])
-			for x := 0; x < W; x += 4 {
-				evalSplit4x4(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(d+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opConst:
-			cw := -uint64(n.tt & 1)
-			for w := 0; w < W; w++ {
-				v[o+w] = cw
-			}
-		default: // opCover
-			cv := &m.covers[n.aux]
-			b := buf[:n.nin]
-			for w := 0; w < W; w++ {
-				for j := int32(0); j < n.nin; j++ {
-					b[j] = v[int(fanB[s+j])+w]
-				}
-				v[o+w] = cv.EvalWords(b)
-			}
-		}
-	}
-}
-
-// evalXRangeB is the block specialization of the fused fast path for any
-// width divisible by four; see evalPlainRangeB. Fused kernels write the
-// head word block before the tail block so a probe or register tap on the
-// head net observes exactly what the plain program would have produced.
-func (m *Machine) evalXRangeB(lo, hi int32, buf []uint64) {
-	W := m.width
-	v := m.val
-	base := unsafe.Pointer(&v[0]) // in bounds by construction; see evalPlainRangeB
-	fanB := m.fanB
-	xfB := m.xfanB
-	xoutB := m.xoutB
-	xout2B := m.xout2B
-	ttab := m.ttab
-	nodes := m.xnodes
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		s := n.start
-		o := int(xoutB[i])
-		switch n.op {
-		case opTT2:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			for x := 0; x < W; x += 4 {
-				evalTab2r(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opFused2:
-			t := ttab[n.aux : n.aux+4 : n.aux+4]
-			t2 := ttab[n.aux2 : n.aux2+4 : n.aux2+4]
-			a := int(xfB[s])
-			b := int(xfB[s+1])
-			o2 := int(xout2B[i])
-			for x := 0; x < W; x += 4 {
-				av := (*vec4)(unsafe.Add(base, uintptr(a+x)<<3))
-				bv := (*vec4)(unsafe.Add(base, uintptr(b+x)<<3))
-				evalTab2x4(t2, av, bv, (*vec4)(unsafe.Add(base, uintptr(o2+x)<<3)))
-				evalTab2x4(t, av, bv, (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opTT3:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			c := int(fanB[s+2])
-			for x := 0; x < W; x += 4 {
-				evalTab3r(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opFused3:
-			t := ttab[n.aux : n.aux+8 : n.aux+8]
-			t2 := ttab[n.aux2 : n.aux2+8 : n.aux2+8]
-			a := int(xfB[s])
-			b := int(xfB[s+1])
-			c := int(xfB[s+2])
-			o2 := int(xout2B[i])
-			for x := 0; x < W; x += 4 {
-				av := (*vec4)(unsafe.Add(base, uintptr(a+x)<<3))
-				bv := (*vec4)(unsafe.Add(base, uintptr(b+x)<<3))
-				cv := (*vec4)(unsafe.Add(base, uintptr(c+x)<<3))
-				evalTab3x4(t2, av, bv, cv, (*vec4)(unsafe.Add(base, uintptr(o2+x)<<3)))
-				evalTab3x4(t, av, bv, cv, (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opTT4:
-			a := int(fanB[s])
-			b := int(fanB[s+1])
-			c := int(fanB[s+2])
-			d := int(fanB[s+3])
-			for x := 0; x < W; x += 4 {
-				evalTab4r(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(b+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(c+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(d+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opFused4:
-			t := ttab[n.aux : n.aux+16 : n.aux+16]
-			t2 := ttab[n.aux2 : n.aux2+16 : n.aux2+16]
-			a := int(xfB[s])
-			b := int(xfB[s+1])
-			c := int(xfB[s+2])
-			d := int(xfB[s+3])
-			o2 := int(xout2B[i])
-			for x := 0; x < W; x += 4 {
-				av := (*vec4)(unsafe.Add(base, uintptr(a+x)<<3))
-				bv := (*vec4)(unsafe.Add(base, uintptr(b+x)<<3))
-				cv := (*vec4)(unsafe.Add(base, uintptr(c+x)<<3))
-				dv := (*vec4)(unsafe.Add(base, uintptr(d+x)<<3))
-				evalTab4x4(t2, av, bv, cv, dv, (*vec4)(unsafe.Add(base, uintptr(o2+x)<<3)))
-				evalTab4x4(t, av, bv, cv, dv, (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opTT1:
-			a := int(fanB[s])
-			for x := 0; x < W; x += 4 {
-				evalTab1r(n.msk, (*vec4)(unsafe.Add(base, uintptr(a+x)<<3)), (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
-			}
-		case opFused1:
-			t := ttab[n.aux : n.aux+2 : n.aux+2]
-			t2 := ttab[n.aux2 : n.aux2+2 : n.aux2+2]
-			a := int(xfB[s])
-			o2 := int(xout2B[i])
-			for x := 0; x < W; x += 4 {
-				av := (*vec4)(unsafe.Add(base, uintptr(a+x)<<3))
-				evalTab1x4(t2, av, (*vec4)(unsafe.Add(base, uintptr(o2+x)<<3)))
-				evalTab1x4(t, av, (*vec4)(unsafe.Add(base, uintptr(o+x)<<3)))
 			}
 		case opXor2:
 			a := int(fanB[s])

@@ -11,9 +11,7 @@ package sim
 //
 // The fork starts in the reset state with the default all-PIs binding and
 // no probes, overrides or lane faults, regardless of the parent's current
-// state. It inherits the parent's lane width and fused schedule but not
-// its worker pool: evaluation parallelism is per-instance configuration
-// (forks usually ARE the parallelism — one per campaign goroutine).
+// state. It inherits the parent's lane width.
 func (m *Machine) Fork() *Machine {
 	f := &Machine{
 		nl:         m.nl,
@@ -23,17 +21,9 @@ func (m *Machine) Fork() *Machine {
 		ttab:       m.ttab,
 		covers:     m.covers,
 		buf:        make([]uint64, len(m.buf)),
-		xnodes:     m.xnodes,
-		xfan:       m.xfan,
 		fanB:       m.fanB,
-		xfanB:      m.xfanB,
 		outB:       m.outB,
-		xoutB:      m.xoutB,
-		xout2B:     m.xout2B,
-		fusedPairs: m.fusedPairs,
-		fuse:       m.fuse,
 		levelOffN:  m.levelOffN,
-		levelOffX:  m.levelOffX,
 		dffD:       m.dffD,
 		dffQ:       m.dffQ,
 		dffInit:    m.dffInit,
@@ -55,16 +45,15 @@ func (m *Machine) Fork() *Machine {
 // charges cached programs against its byte budget with it.
 func (m *Machine) MemoryFootprint() int64 {
 	b := int64(256)
-	b += int64(len(m.nodes))*24 + int64(len(m.xnodes))*32
-	b += int64(len(m.fanin)+len(m.xfan)) * 4
-	b += int64(len(m.fanB)+len(m.xfanB)+len(m.outB)+len(m.xoutB)+len(m.xout2B)) * 4
+	b += int64(len(m.nodes)) * 24
+	b += int64(len(m.fanin)+len(m.fanB)+len(m.outB)) * 4
 	b += int64(len(m.ttab)) * 8
 	for i := range m.covers {
 		b += 32 + int64(len(m.covers[i].Cubes))*16
 	}
 	b += int64(len(m.buf)+len(m.val)+len(m.state)+len(m.dffInit)) * 8
 	b += int64(len(m.dffD)+len(m.dffQ)+len(m.pis)+len(m.pos)+len(m.bound)) * 4
-	b += int64(len(m.levelOffN)+len(m.levelOffX)) * 4
+	b += int64(len(m.levelOffN)) * 4
 	for _, s := range m.piNames {
 		b += 16 + int64(len(s))
 	}

@@ -3,54 +3,12 @@ package sim
 // Width-4 block kernels: one call evaluates all four lane words of a
 // node. The scalar kernels (kernels.go) are below the inliner's budget
 // only for k <= 2, so calling them per lane word re-loads the whole pair
-// table from memory on every word. These variants hoist the table into
-// locals once — the compiler keeps the hot words in registers — and
-// stream the four lane words through the same Shannon-mux arithmetic, so
-// the per-node cost approaches four times the pure word math instead of
-// four dispatches plus four table re-reads.
-
-// evalTab1x4 evaluates a 1-input LUT on four lane words.
-func evalTab1x4(t []uint64, a, o *vec4) {
-	t0, t1 := t[0], t[1]
-	o[0] = t0 ^ (a[0] & t1)
-	o[1] = t0 ^ (a[1] & t1)
-	o[2] = t0 ^ (a[2] & t1)
-	o[3] = t0 ^ (a[3] & t1)
-}
-
-// evalTab2x4 evaluates a 2-input LUT on four lane words.
-func evalTab2x4(t []uint64, a, b, o *vec4) {
-	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
-	for w := 0; w < 4; w++ {
-		r0 := t0 ^ (a[w] & t1)
-		r1 := t2 ^ (a[w] & t3)
-		o[w] = r0 ^ (b[w] & (r0 ^ r1))
-	}
-}
-
-// evalTab3x4 evaluates a 3-input LUT on four lane words.
-func evalTab3x4(t []uint64, a, b, c, o *vec4) {
-	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
-	t4, t5, t6, t7 := t[4], t[5], t[6], t[7]
-	for w := 0; w < 4; w++ {
-		av, bv := a[w], b[w]
-		r0 := t0 ^ (av & t1)
-		r1 := t2 ^ (av & t3)
-		r2 := t4 ^ (av & t5)
-		r3 := t6 ^ (av & t7)
-		s0 := r0 ^ (bv & (r0 ^ r1))
-		s1 := r2 ^ (bv & (r2 ^ r3))
-		o[w] = s0 ^ (c[w] & (s0 ^ s1))
-	}
-}
-
-// Register-table block kernels. Every pair-table word is a broadcast (0
-// or all-ones), so the compiler stores the whole table as one bit per
+// table from memory on every word. Every pair-table word is a broadcast
+// (0 or all-ones), so the compiler stores the whole table as one bit per
 // word in the node's msk field (pairBits) and these variants rebuild it
-// with shift/mask/negate arithmetic. The Shannon-mux math is identical
-// to the evalTab*x4 kernels above; the difference is purely where the
-// table comes from — registers instead of a many-hundred-KB pair-table
-// array streamed from memory on every evaluation pass.
+// in registers with shift/mask/negate arithmetic — instead of streaming a
+// many-hundred-KB pair-table array from memory on every evaluation pass —
+// then run the four lane words through the same Shannon-mux math.
 
 // evalTab1r evaluates a 1-input LUT from its 2 pair bits.
 func evalTab1r(pb uint16, a, o *vec4) {
@@ -302,31 +260,5 @@ func evalMux3x4(msk uint16, s, a, b, o *vec4) {
 		av := a[w] ^ xa
 		bv := b[w] ^ xb
 		o[w] = bv ^ (s[w] & (av ^ bv)) ^ inv
-	}
-}
-
-// evalTab4x4 evaluates a 4-input LUT on four lane words.
-func evalTab4x4(t []uint64, a, b, c, d, o *vec4) {
-	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
-	t4, t5, t6, t7 := t[4], t[5], t[6], t[7]
-	t8, t9, t10, t11 := t[8], t[9], t[10], t[11]
-	t12, t13, t14, t15 := t[12], t[13], t[14], t[15]
-	for w := 0; w < 4; w++ {
-		av, bv, cv := a[w], b[w], c[w]
-		r0 := t0 ^ (av & t1)
-		r1 := t2 ^ (av & t3)
-		r2 := t4 ^ (av & t5)
-		r3 := t6 ^ (av & t7)
-		r4 := t8 ^ (av & t9)
-		r5 := t10 ^ (av & t11)
-		r6 := t12 ^ (av & t13)
-		r7 := t14 ^ (av & t15)
-		s0 := r0 ^ (bv & (r0 ^ r1))
-		s1 := r2 ^ (bv & (r2 ^ r3))
-		s2 := r4 ^ (bv & (r4 ^ r5))
-		s3 := r6 ^ (bv & (r6 ^ r7))
-		u0 := s0 ^ (cv & (s0 ^ s1))
-		u1 := s2 ^ (cv & (s2 ^ s3))
-		o[w] = u0 ^ (d[w] & (u0 ^ u1))
 	}
 }

@@ -6,71 +6,164 @@ package sim
 // differential oracle) and through the compiled RunTrace path, asserting
 // bit-identical primary-output and DFF-state streams. The raw
 // (pre-mapping) designs exercise the generic cover kernel alongside the
-// specialized small-k truth-table kernels.
+// specialized small-k truth-table kernels; a synthetic netlist of
+// unclassifiable single-fanout LUT chains covers the generic opTT*
+// kernels the catalog's classified compiles never reach.
 
 import (
 	"testing"
 
 	"fpgadbg/internal/bench"
+	"fpgadbg/internal/logic"
+	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/testgen"
 )
 
 func TestRunTraceMatchesStepOnCatalog(t *testing.T) {
-	const cycles = 12
 	for _, d := range bench.Catalog() {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
-			nl := d.Build()
-			pis := nl.SortedPINames()
-			pos := nl.SortedPONames()
-			stim := testgen.RandomBlocks(len(pis), cycles, 0xC0FFEE)
-
-			// New path: compiled trace.
-			mt, err := Compile(nl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mt.BindNames(pis); err != nil {
-				t.Fatal(err)
-			}
-			cols, err := mt.POCols(pos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mt.CaptureState(true)
-			tr := mt.RunTrace(stim)
-
-			// Legacy path: per-cycle maps through the cover interpreter.
-			ms, err := CompileReference(nl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c, row := range stim {
-				in := make(map[string]uint64, len(pis))
-				for j, name := range pis {
-					in[name] = row[j]
-				}
-				out, err := ms.Step(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, name := range pos {
-					if tr.Out(c, cols[i]) != out[name] {
-						t.Fatalf("cycle %d output %q: trace %#x != step %#x",
-							c, name, tr.Out(c, cols[i]), out[name])
-					}
-				}
-				sw := ms.StateWords()
-				if len(sw) != tr.NumState {
-					t.Fatalf("DFF count mismatch: %d vs %d", len(sw), tr.NumState)
-				}
-				for i := range sw {
-					if tr.State(c, i) != sw[i] {
-						t.Fatalf("cycle %d dff %d: trace state %#x != step state %#x",
-							c, i, tr.State(c, i), sw[i])
-					}
-				}
-			}
+			checkTraceMatchesReference(t, d.Build(), 12)
 		})
 	}
+}
+
+// TestRunTraceMatchesStepOnUnclassifiedChains runs the reference
+// differential on chains of LUTs the truth-table classifier rejects, so
+// both ends of each chain compile to generic opTT* kernels.
+func TestRunTraceMatchesStepOnUnclassifiedChains(t *testing.T) {
+	tt4 := unclassifiableTT(t, 4)
+	tt3 := unclassifiableTT(t, 3)
+
+	nl := netlist.New("unclassified-chains")
+	a, b := nl.AddPI("a"), nl.AddPI("b")
+	c, d := nl.AddPI("c"), nl.AddPI("d")
+	// Chain 1: unclassifiable 4-input head feeding a single inverter.
+	h1 := nl.AddNet("h1")
+	o1 := nl.AddNet("o1")
+	nl.MustAddLUT("head4", coverFromTT(tt4, 4), []netlist.NetID{a, b, c, d}, h1)
+	nl.MustAddLUT("tail1", logic.NotN(), []netlist.NetID{h1}, o1)
+	nl.MarkPO(o1)
+	// Chain 2: unclassifiable 3-input head whose tail shares its support.
+	h2 := nl.AddNet("h2")
+	o2 := nl.AddNet("o2")
+	nl.MustAddLUT("head3", coverFromTT(tt3, 3), []netlist.NetID{a, b, c}, h2)
+	nl.MustAddLUT("tail3", coverFromTT(tt3, 3), []netlist.NetID{h2, a, b}, o2)
+	nl.MarkPO(o2)
+
+	m, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range m.nodes {
+		if n.op < opTT1 || n.op > opTT4 {
+			t.Fatalf("LUT driving net %d lowered to opcode %d, want a generic opTT* kernel", n.out, n.op)
+		}
+	}
+	checkTraceMatchesReference(t, nl, 12)
+}
+
+// checkTraceMatchesReference replays nl for the given number of cycles of
+// random stimulus through the compiled RunTrace path and the reference
+// interpreter, failing on the first output or DFF-state word that differs.
+func checkTraceMatchesReference(t *testing.T, nl *netlist.Netlist, cycles int) {
+	t.Helper()
+	pis := nl.SortedPINames()
+	pos := nl.SortedPONames()
+	stim := testgen.RandomBlocks(len(pis), cycles, 0xC0FFEE)
+
+	// New path: compiled trace.
+	mt, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.BindNames(pis); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := mt.POCols(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt.CaptureState(true)
+	tr := mt.RunTrace(stim)
+
+	// Legacy path: per-cycle maps through the cover interpreter.
+	ms, err := CompileReference(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, row := range stim {
+		in := make(map[string]uint64, len(pis))
+		for j, name := range pis {
+			in[name] = row[j]
+		}
+		out, err := ms.Step(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range pos {
+			if tr.Out(c, cols[i]) != out[name] {
+				t.Fatalf("cycle %d output %q: trace %#x != step %#x",
+					c, name, tr.Out(c, cols[i]), out[name])
+			}
+		}
+		sw := ms.StateWords()
+		if len(sw) != tr.NumState {
+			t.Fatalf("DFF count mismatch: %d vs %d", len(sw), tr.NumState)
+		}
+		for i := range sw {
+			if tr.State(c, i) != sw[i] {
+				t.Fatalf("cycle %d dff %d: trace state %#x != step state %#x",
+					c, i, tr.State(c, i), sw[i])
+			}
+		}
+	}
+}
+
+// unclassifiableTT finds a truth table of arity k that depends on every
+// input yet is rejected by the truth-table classifier, so it compiles to
+// a generic opTT* kernel.
+func unclassifiableTT(t *testing.T, k int) uint16 {
+	t.Helper()
+	n := 1 << uint(k)
+	mask := uint32(1)<<uint(n) - 1
+	for v := uint32(0); v <= mask; v++ {
+		if _, _, ok := classifyTT(uint16(v), k); ok {
+			continue
+		}
+		full := true
+		for j := 0; j < k && full; j++ {
+			// Some minterm pair differing only in pin j must disagree.
+			dep := false
+			for m := 0; m < n; m++ {
+				if m>>uint(j)&1 == 0 && v>>uint(m)&1 != v>>uint(m|1<<uint(j))&1 {
+					dep = true
+					break
+				}
+			}
+			full = dep
+		}
+		if full {
+			return uint16(v)
+		}
+	}
+	t.Fatalf("no unclassifiable full-support table of arity %d", k)
+	return 0
+}
+
+// coverFromTT builds a minterm cover for an explicit truth table, bit m
+// giving the output for the assignment where pin j carries bit j of m.
+func coverFromTT(tt uint16, k int) logic.Cover {
+	cov := logic.Cover{N: k}
+	for m := 0; m < 1<<uint(k); m++ {
+		if tt>>uint(m)&1 == 0 {
+			continue
+		}
+		var cu logic.Cube
+		for v := 0; v < k; v++ {
+			cu = cu.WithLit(v, m>>uint(v)&1 == 1)
+		}
+		cov.Cubes = append(cov.Cubes, cu)
+	}
+	return cov
 }

@@ -10,21 +10,14 @@ import (
 
 // Kernel opcodes. LUTs with at most four inputs are compiled to their
 // 16-bit truth table and evaluated by unrolled Shannon muxing; wider LUTs
-// keep their sum-of-products cover. The opFused* opcodes exist only in the
-// fused fast-path schedule (see fused.go): one kernel evaluates a
-// single-fanout producer LUT and its consumer from one shared input
-// gather, writing both output nets.
+// keep their sum-of-products cover.
 const (
-	opConst  uint8 = iota // zero-input LUT; tt bit 0 is the constant
-	opTT1                 // 1-input truth-table kernel
-	opTT2                 // 2-input truth-table kernel
-	opTT3                 // 3-input truth-table kernel
-	opTT4                 // 4-input truth-table kernel
-	opCover               // generic cover evaluation (k > 4)
-	opFused1              // fused pair kernel over 1 combined input
-	opFused2              // fused pair kernel over 2 combined inputs
-	opFused3              // fused pair kernel over 3 combined inputs
-	opFused4              // fused pair kernel over 4 combined inputs
+	opConst uint8 = iota // zero-input LUT; tt bit 0 is the constant
+	opTT1                // 1-input truth-table kernel
+	opTT2                // 2-input truth-table kernel
+	opTT3                // 3-input truth-table kernel
+	opTT4                // 4-input truth-table kernel
+	opCover              // generic cover evaluation (k > 4)
 
 	// Classified table-free kernels (see classify.go): the compile-time
 	// truth-table classifier lowers parity functions, read-once AND/XOR
@@ -61,8 +54,7 @@ type node struct {
 // Machine is a compiled simulator instance for one netlist. Every net
 // carries a lane vector of Width() 64-pattern words — 64·Width parallel
 // lanes per evaluation — stored stride-Width in one flat value plane.
-// A Machine is not safe for concurrent use by callers; compile one
-// Machine per worker (SetWorkers parallelism is internal to Eval).
+// A Machine is not safe for concurrent use; Fork one per worker.
 type Machine struct {
 	nl    *netlist.Netlist
 	width int // words per net lane vector (W); lanes = 64*W
@@ -70,35 +62,20 @@ type Machine struct {
 	// Compiled program.
 	nodes  []node
 	fanin  []int32       // CSR-packed fanin net indices for all nodes
-	ttab   []uint64      // broadcast pair tables of all opTT*/opFused* kernels
+	ttab   []uint64      // broadcast pair tables of all opTT* and classified kernels
 	covers []logic.Cover // functions of opCover nodes
 	buf    []uint64      // scratch fanin gather for opCover kernels
 
-	// Fused fast-path schedule (see fused.go). xnodes is the plain node
-	// list with every fused producer folded into its consumer's kernel;
-	// the hooked evaluation paths (overrides, lane faults/patches) walk
-	// the unfused nodes instead.
-	xnodes     []xnode
-	xfan       []int32 // combined fanin lists of fused kernels
-	fusedPairs int
-	fuse       bool // fast path uses the fused schedule (default on)
-
 	// Premultiplied block-path offsets (widths divisible by four only):
-	// copies of the fanin/xfan CSRs and the node output nets with the *W
-	// already baked in, so the block evaluators' dispatch loop loads a
+	// a copy of the fanin CSR and the node output nets with the *W
+	// already baked in, so the block evaluator's dispatch loop loads a
 	// ready word offset instead of paying a multiply per operand.
-	fanB   []int32
-	xfanB  []int32
-	outB   []int32 // per node
-	xoutB  []int32 // per xnode
-	xout2B []int32 // per xnode; -1 where out2 is -1
+	fanB []int32
+	outB []int32 // per node
 
-	// Level structure: levelOffN/levelOffX are the level boundaries of
-	// nodes/xnodes (both emitted level-major), driving the optional
-	// level-parallel evaluation pool (see parallel.go).
+	// levelOffN holds the level boundaries of the level-major node
+	// schedule; windowed lane faults map a node to its level with it.
 	levelOffN []int32
-	levelOffX []int32
-	pool      *evalPool
 
 	// Flip-flop tables (compile order, stable across the Machine's life).
 	dffD    []int32  // D input net per DFF
@@ -165,7 +142,6 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 	m := &Machine{
 		nl:         nl,
 		width:      width,
-		fuse:       true,
 		val:        make([]uint64, len(nl.Nets)*width),
 		nodeOfCell: make([]int32, len(nl.Cells)),
 	}
@@ -175,10 +151,8 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 
 	// Levelize: level 0 is sources (PIs, DFF outputs, undriven nets);
 	// a LUT's level is one past its deepest fanin. Nodes are emitted
-	// level-major (stable within a level by topo order) so independent
-	// levels are contiguous — the schedule shape level-parallel
-	// evaluation partitions. Any level-major order is a topological
-	// order, so serial results are unchanged.
+	// level-major (stable within a level by topo order); any level-major
+	// order is a topological order.
 	netLevel := make([]int32, len(nl.Nets))
 	var luts []netlist.CellID
 	maxLevel := int32(0)
@@ -279,8 +253,8 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 			}
 		default:
 			// Table kernels and classified kernels alike carry the expanded
-			// pair table: the hooked pass, lane patches and fused-pair
-			// composition all read it regardless of the fast-path opcode.
+			// pair table: the hooked pass and lane patches read it
+			// regardless of the fast-path opcode.
 			n.aux = int32(len(m.ttab))
 			m.ttab = append(m.ttab, expandTT(n.tt, len(c.Fanin))...)
 		}
@@ -326,7 +300,6 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 		m.pos = append(m.pos, int32(po))
 		m.poNames = append(m.poNames, nl.Nets[po].Name)
 	}
-	m.buildFused(netLevel, maxLevel)
 	m.buildBlockOffsets()
 	// Default binding: every PI, in sorted-name order.
 	m.bound = append([]int32(nil), m.pis...)
@@ -334,10 +307,10 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 	return m, nil
 }
 
-// buildBlockOffsets bakes the value-plane stride into per-pin copies of
-// the fanin CSRs and per-node output offsets for the block evaluators:
+// buildBlockOffsets bakes the value-plane stride into a per-pin copy of
+// the fanin CSR and per-node output offsets for the block evaluator:
 // net i's lane vector lives at val[i*W : (i+1)*W], and widths divisible
-// by four dispatch through exec.go's block paths, which address blocks
+// by four dispatch through exec.go's block path, which addresses blocks
 // as val[fanB[pin]+x] with no multiply in the hot loop. Other widths
 // never consult these arrays.
 func (m *Machine) buildBlockOffsets() {
@@ -349,22 +322,9 @@ func (m *Machine) buildBlockOffsets() {
 	for i, f := range m.fanin {
 		m.fanB[i] = f * W
 	}
-	m.xfanB = make([]int32, len(m.xfan))
-	for i, f := range m.xfan {
-		m.xfanB[i] = f * W
-	}
 	m.outB = make([]int32, len(m.nodes))
 	for i := range m.nodes {
 		m.outB[i] = m.nodes[i].out * W
-	}
-	m.xoutB = make([]int32, len(m.xnodes))
-	m.xout2B = make([]int32, len(m.xnodes))
-	for i := range m.xnodes {
-		m.xoutB[i] = m.xnodes[i].out * W
-		m.xout2B[i] = -1
-		if m.xnodes[i].out2 >= 0 {
-			m.xout2B[i] = m.xnodes[i].out2 * W
-		}
 	}
 }
 
@@ -380,35 +340,6 @@ func (m *Machine) Width() int { return m.width }
 // Lanes returns the number of parallel lanes one evaluation carries
 // (64·Width) — the batch size of fault- and patch-parallel campaigns.
 func (m *Machine) Lanes() int { return 64 * m.width }
-
-// FusedKernels returns how many single-fanout LUT pairs the compiler
-// fused into combined pair-table kernels (see fused.go).
-func (m *Machine) FusedKernels() int { return m.fusedPairs }
-
-// KernelCounts reports how the compiler lowered the plain program's
-// kernels: classified table-free kernels (classify.go), generic
-// truth-table kernels, and sum-of-products cover kernels (constants
-// excluded). The split is a compile-time property — useful for judging
-// how much of a design runs on the fast classified arms.
-func (m *Machine) KernelCounts() (classified, table, cover int) {
-	for i := range m.nodes {
-		switch op := m.nodes[i].op; {
-		case op >= opXor2:
-			classified++
-		case op == opCover:
-			cover++
-		case op >= opTT1 && op <= opTT4:
-			table++
-		}
-	}
-	return classified, table, cover
-}
-
-// SetFusion toggles the fused fast-path schedule; with fusion off the
-// unperturbed evaluation walks the plain one-LUT-per-kernel program.
-// Results are bit-identical either way — the switch exists for the
-// fusion ablation benchmark.
-func (m *Machine) SetFusion(on bool) { m.fuse = on }
 
 // Reset restores every DFF to its power-on value and clears all nets.
 // Trace bindings, probes and overrides are configuration, not state, and
@@ -460,26 +391,15 @@ func (m *Machine) Eval() {
 	}
 	switch {
 	case len(m.mutNodes) != 0 || len(m.patchNodes) != 0 || len(m.ovNets) != 0:
-		// Hooked pass: plain (unfused) nodes with the per-node override,
-		// lane-fault and lane-patch hooks. Fused-away producers must stay
-		// individually addressable here, so fusion never applies.
-		if m.pool != nil && m.pool.parN {
-			m.pool.run(passHooked)
-		} else {
-			m.evalHookedRange(0, int32(len(m.nodes)), m.buf)
-		}
-	case m.fuse:
-		if m.pool != nil && m.pool.parX {
-			m.pool.run(passFused)
-		} else {
-			m.evalXRange(0, int32(len(m.xnodes)), m.buf)
-		}
+		m.evalHookedRange()
+	case W == 1:
+		m.evalPlainRange1()
+	case W%4 == 0:
+		m.evalPlainRangeB()
 	default:
-		if m.pool != nil && m.pool.parN {
-			m.pool.run(passPlain)
-		} else {
-			m.evalPlainRange(0, int32(len(m.nodes)), m.buf)
-		}
+		// No block kernels at this width: with no hook armed, the hooked
+		// pass is the plain stride-W pass.
+		m.evalHookedRange()
 	}
 }
 
@@ -509,9 +429,9 @@ func (m *Machine) CycleIndex() int { return int(m.cycle) }
 // SetOverride pins a net to a fixed 64-pattern word — broadcast across
 // all lane words of a widened machine — for every subsequent Eval (and
 // hence RunTrace cycle) until cleared: the software analogue of a control
-// point holding a signal. Unlike ForceNet, the override is honored by the
-// execution core itself: downstream logic evaluated in the same pass
-// reads the forced value, and re-evaluation does not clobber it.
+// point holding a signal. The override is honored by the execution core
+// itself: downstream logic evaluated in the same pass reads the forced
+// value, and re-evaluation does not clobber it.
 func (m *Machine) SetOverride(id netlist.NetID, w uint64) error {
 	if int(id) < 0 || int(id) >= len(m.nl.Nets) {
 		return fmt.Errorf("sim: override of invalid net %d", id)
@@ -582,7 +502,7 @@ func (m *Machine) Overridden(id netlist.NetID) (uint64, bool) {
 // hashing). Hot paths should use Slots/Bind/RunTrace — and OutputsInto
 // instead of Outputs when a per-cycle output snapshot is needed without
 // the map allocation. On widened machines the scalar shim addresses lane
-// word 0; SetPI/ForceNet broadcast their word across the lane vector.
+// word 0; SetPI broadcasts its word across the lane vector.
 
 // SetPI drives a primary input net with a 64-pattern word (broadcast
 // across all lane words of a widened machine).
@@ -634,18 +554,6 @@ func (m *Machine) Net(name string) (uint64, error) {
 
 // NetByID probes a net by ID (lane word 0 on wide machines).
 func (m *Machine) NetByID(id netlist.NetID) uint64 { return m.val[int(id)*m.width] }
-
-// ForceNet overwrites a net's current value in place (broadcast across
-// the lane vector). The write is one-shot: the next Eval recomputes
-// driven nets and clobbers it, so it is only useful for combinational
-// what-if probing on undriven nets or in the window between Eval and
-// Clock. For a forcing that persists across evaluations — and that
-// downstream logic observes — use SetOverride.
-func (m *Machine) ForceNet(id netlist.NetID, w uint64) {
-	for i := int(id) * m.width; i < int(id)*m.width+m.width; i++ {
-		m.val[i] = w
-	}
-}
 
 // Out returns a primary output word by name (lane word 0).
 func (m *Machine) Out(name string) (uint64, error) {

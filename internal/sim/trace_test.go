@@ -199,13 +199,7 @@ func TestOverrideHonoredByExecutionCore(t *testing.T) {
 	if w, ok := m.Overridden(x); !ok || w != ^uint64(0) {
 		t.Fatal("Overridden does not report the pinned word")
 	}
-	// ForceNet, by contrast, is clobbered by the next Eval.
 	m.ClearOverrides()
-	m.ForceNet(x, ^uint64(0))
-	m.Eval() // a=b=0 → x recomputes to 0
-	if got := m.NetByID(x); got != 0 {
-		t.Fatalf("ForceNet survived Eval: x = %#x", got)
-	}
 	// Overrides also pin primary inputs, beating bound stimulus.
 	if err := m.SetOverride(a, ^uint64(0)); err != nil {
 		t.Fatal(err)

@@ -3,16 +3,13 @@ package sim
 // Wide-lane regression: the width-W vector engine against the width-1
 // engine (itself pinned bit-identical to the ReferenceMachine oracle by
 // regress_test.go). Lane word w of a wide replay must reproduce, bit for
-// bit, a narrow replay of that word's stimulus — with fusion on or off,
-// serial or level-parallel, and with faults, patches and overrides on
-// lanes beyond the first word.
+// bit, a narrow replay of that word's stimulus — on every width dispatch,
+// and with faults, patches and overrides on lanes beyond the first word.
 
 import (
 	"testing"
 
 	"fpgadbg/internal/bench"
-	"fpgadbg/internal/logic"
-	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/testgen"
 )
 
@@ -29,10 +26,13 @@ func narrowWord(wide [][]uint64, cols, W, w int) [][]uint64 {
 	return out
 }
 
-// TestWideIdentityOnCatalog replays every catalog design at W ∈ {1, 2, 4}
-// on wide stimulus and checks each lane word against an independent
-// width-1 replay of that word's patterns — PO and DFF-state streams both.
-// The W=1 leg pins the vector engine to the classic single-word layout.
+// TestWideIdentityOnCatalog replays every catalog design at
+// W ∈ {1, 2, 3, 4, 8} on wide stimulus and checks each lane word against
+// an independent width-1 replay of that word's patterns — PO and DFF-state
+// streams both. The widths cover every dispatch in Eval: W=1 pins the
+// vector engine to the classic single-word layout, W=2 and W=3 run the
+// hooked pass with no hook armed, W=4 and W=8 the block kernels at one
+// and two blocks per net.
 func TestWideIdentityOnCatalog(t *testing.T) {
 	const cycles = 10
 	for _, d := range bench.Catalog() {
@@ -45,7 +45,7 @@ func TestWideIdentityOnCatalog(t *testing.T) {
 				t.Fatal(err)
 			}
 			narrow.CaptureState(true)
-			for _, W := range []int{1, 2, 4} {
+			for _, W := range []int{1, 2, 3, 4, 8} {
 				wideStim := testgen.RandomBlocks(len(pis)*W, cycles, int64(0xBEEF+W))
 				m, err := CompileWidth(nl, W)
 				if err != nil {
@@ -74,15 +74,6 @@ func TestWideIdentityOnCatalog(t *testing.T) {
 									W, w, c, i, tw.StateW(c, i, w), tn.State(c, i))
 							}
 						}
-					}
-				}
-				// Fusion ablated: bit-identical to the fused schedule.
-				m.SetFusion(false)
-				tp := m.RunTrace(wideStim)
-				m.SetFusion(true)
-				for i := range tw.Outs {
-					if tw.Outs[i] != tp.Outs[i] {
-						t.Fatalf("W=%d: fused and plain schedules diverge at out word %d", W, i)
 					}
 				}
 			}
@@ -287,213 +278,12 @@ func TestForkPreservesWidth(t *testing.T) {
 	if f.Width() != W || f.Lanes() != 64*W {
 		t.Fatalf("fork width %d lanes %d", f.Width(), f.Lanes())
 	}
-	if f.FusedKernels() != m.FusedKernels() {
-		t.Fatalf("fork fused kernels %d != %d", f.FusedKernels(), m.FusedKernels())
-	}
 	stim := testgen.RandomBlocks(len(pis)*W, 6, 21)
 	ta := m.RunTrace(stim)
 	tb := f.RunTrace(stim)
 	for i := range ta.Outs {
 		if ta.Outs[i] != tb.Outs[i] {
 			t.Fatalf("fork trace diverges at out word %d", i)
-		}
-	}
-}
-
-// unclassifiableTT finds a truth table of arity k that depends on every
-// input yet is rejected by the truth-table classifier. Fusion only pairs
-// unclassified table nodes (classified kernels are already cheaper than a
-// composed pair table), so these are exactly the functions that keep the
-// fusion pass alive.
-func unclassifiableTT(t *testing.T, k int) uint16 {
-	t.Helper()
-	n := 1 << uint(k)
-	mask := uint32(1)<<uint(n) - 1
-	for v := uint32(0); v <= mask; v++ {
-		if _, _, ok := classifyTT(uint16(v), k); ok {
-			continue
-		}
-		full := true
-		for j := 0; j < k && full; j++ {
-			// Some minterm pair differing only in pin j must disagree.
-			dep := false
-			for m := 0; m < n; m++ {
-				if m>>uint(j)&1 == 0 && v>>uint(m)&1 != v>>uint(m|1<<uint(j))&1 {
-					dep = true
-					break
-				}
-			}
-			full = dep
-		}
-		if full {
-			return uint16(v)
-		}
-	}
-	t.Fatalf("no unclassifiable full-support table of arity %d", k)
-	return 0
-}
-
-// coverFromTT builds a minterm cover for an explicit truth table, bit m
-// giving the output for the assignment where pin j carries bit j of m.
-func coverFromTT(tt uint16, k int) logic.Cover {
-	cov := logic.Cover{N: k}
-	for m := 0; m < 1<<uint(k); m++ {
-		if tt>>uint(m)&1 == 0 {
-			continue
-		}
-		var cu logic.Cube
-		for v := 0; v < k; v++ {
-			cu = cu.WithLit(v, m>>uint(v)&1 == 1)
-		}
-		cov.Cubes = append(cov.Cubes, cu)
-	}
-	return cov
-}
-
-// TestFusionProducesKernelsAndPreservesProbes checks that fusion still
-// fires on single-fanout chains of unclassifiable LUTs — its remaining
-// role now that classified kernels absorb the common small functions —
-// and that a fused-away head net is still written: probing it gives the
-// same stream with fusion on and off. Catalog designs, whose small LUTs
-// are all classified, additionally pin FusedKernels()==0 so fusion and
-// classification never fight over the same node.
-func TestFusionProducesKernelsAndPreservesProbes(t *testing.T) {
-	tt4 := unclassifiableTT(t, 4)
-	tt3 := unclassifiableTT(t, 3)
-
-	nl := netlist.New("fusion-chains")
-	a, b := nl.AddPI("a"), nl.AddPI("b")
-	c, d := nl.AddPI("c"), nl.AddPI("d")
-	// Chain 1: unclassifiable 4-input head feeding a single inverter.
-	h1 := nl.AddNet("h1")
-	o1 := nl.AddNet("o1")
-	nl.MustAddLUT("head4", coverFromTT(tt4, 4), []netlist.NetID{a, b, c, d}, h1)
-	nl.MustAddLUT("tail1", logic.NotN(), []netlist.NetID{h1}, o1)
-	nl.MarkPO(o1)
-	// Chain 2: unclassifiable 3-input head whose tail shares its support,
-	// so the combined function still fits four inputs.
-	h2 := nl.AddNet("h2")
-	o2 := nl.AddNet("o2")
-	nl.MustAddLUT("head3", coverFromTT(tt3, 3), []netlist.NetID{a, b, c}, h2)
-	nl.MustAddLUT("tail3", coverFromTT(tt3, 3), []netlist.NetID{h2, a, b}, o2)
-	nl.MarkPO(o2)
-
-	m, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.FusedKernels() < 2 {
-		t.Fatalf("FusedKernels() = %d, want both synthetic chains fused", m.FusedKernels())
-	}
-	// Probe every fused-away head net.
-	var heads []netlist.NetID
-	for _, x := range m.xnodes {
-		if x.out2 >= 0 {
-			heads = append(heads, netlist.NetID(x.out2))
-		}
-	}
-	if len(heads) != 2 {
-		t.Fatalf("fused head nets = %d, want 2", len(heads))
-	}
-	if err := m.Probe(heads...); err != nil {
-		t.Fatal(err)
-	}
-	stim := testgen.RandomBlocks(4, 8, 11)
-	tf := m.RunTrace(stim)
-	fused := append([]uint64(nil), tf.ProbeVals...)
-	fusedOuts := append([]uint64(nil), tf.Outs...)
-	m.SetFusion(false)
-	tp := m.RunTrace(stim)
-	for i := range fused {
-		if fused[i] != tp.ProbeVals[i] {
-			t.Fatalf("fused head-net probe %d diverges from plain schedule", i)
-		}
-	}
-	for i := range fusedOuts {
-		if fusedOuts[i] != tp.Outs[i] {
-			t.Fatalf("fused PO word %d diverges from plain schedule", i)
-		}
-	}
-
-	// Classified compiles leave nothing for the fusion pass on the real
-	// catalog: every fusable small LUT is a chain, parity, mux or
-	// majority and runs as a table-free kernel instead.
-	for _, cd := range bench.Catalog() {
-		cm, err := Compile(cd.Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cm.FusedKernels() != 0 {
-			t.Fatalf("%s: %d fused kernels on a classified compile", cd.Name, cm.FusedKernels())
-		}
-	}
-}
-
-// TestLevelParallelMatchesSerial runs the largest catalog designs with a
-// worker pool on every pass shape — fused, plain, and hooked (a lane
-// fault arms the perturbed pass) — and demands bit-identical results.
-func TestLevelParallelMatchesSerial(t *testing.T) {
-	for _, d := range bench.Catalog() {
-		nl := d.Build()
-		if len(nl.Cells) < 300 {
-			continue // pool declines tiny designs; covered by Workers() check below
-		}
-		for _, W := range []int{1, 2} {
-			m, err := CompileWidth(nl, W)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pis := nl.SortedPINames()
-			stim := testgen.RandomBlocks(len(pis)*W, 8, 17)
-			m.CaptureState(true)
-			serial := m.RunTrace(stim)
-			serialOuts := append([]uint64(nil), serial.Outs...)
-			serialStates := append([]uint64(nil), serial.States...)
-
-			m.SetWorkers(4)
-			if m.Workers() == 1 {
-				continue // no level wide enough on this design
-			}
-			check := func(pass string) {
-				tr := m.RunTrace(stim)
-				for i := range serialOuts {
-					if tr.Outs[i] != serialOuts[i] {
-						t.Fatalf("%s W=%d %s: parallel out %d diverges", d.Name, W, pass, i)
-					}
-				}
-				if pass == "fused" {
-					for i := range serialStates {
-						if tr.States[i] != serialStates[i] {
-							t.Fatalf("%s W=%d: parallel state %d diverges", d.Name, W, i)
-						}
-					}
-				}
-			}
-			check("fused")
-			m.SetFusion(false)
-			check("plain")
-			m.SetFusion(true)
-			// Hooked pass: harmless patch-free fault on one lane.
-			var lutNet netlist.NetID
-			for id := range nl.Nets {
-				if d := nl.Nets[id].Driver; d != netlist.NilCell && nl.Cells[d].Kind == netlist.KindLUT {
-					lutNet = netlist.NetID(id)
-					break
-				}
-			}
-			if err := m.SetLaneFault(m.Lanes()-1, LaneFault{Kind: LaneStuckAt1, Net: lutNet}); err != nil {
-				t.Fatal(err)
-			}
-			par := m.RunTrace(stim)
-			parOuts := append([]uint64(nil), par.Outs...)
-			m.SetWorkers(0)
-			ser := m.RunTrace(stim)
-			for i := range parOuts {
-				if parOuts[i] != ser.Outs[i] {
-					t.Fatalf("%s W=%d hooked: parallel out %d diverges", d.Name, W, i)
-				}
-			}
-			m.ClearLaneFaults()
 		}
 	}
 }
