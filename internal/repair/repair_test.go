@@ -206,9 +206,30 @@ func TestValidateMatchesSerial(t *testing.T) {
 	if len(cands) < 20 {
 		t.Fatalf("expected a multi-batch-worthy candidate list, got %d", len(cands))
 	}
-	par, _, err := e.Validate(cands, stim, nil)
+	// The full stimulus, then lengths that cut the last replay window
+	// short, shorter than one window, and just past it.
+	for _, n := range []int{len(stim), 1, replayWindow - 1, replayWindow + 1, 2*replayWindow + 5} {
+		checkValidateMatchesSerial(t, e, cands, stim[:n])
+	}
+}
+
+// checkValidateMatchesSerial scores cands lane-parallel and serially on
+// stim, requires identical surviving sets and exactly one armed batch per
+// Lanes() candidates however early the replays stopped, and returns the
+// lane-parallel verdicts with the replayed step count.
+func checkValidateMatchesSerial(t *testing.T, e *Engine, cands []Candidate, stim [][]uint64) ([]bool, int) {
+	t.Helper()
+	par, batches, replayed, err := e.validateAgainst(e.golden.RunTrace(stim), cands, stim, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	lanes := e.impl.Lanes()
+	if want := (len(cands) + lanes - 1) / lanes; batches != want {
+		t.Fatalf("%d-step stimulus: batches=%d for %d candidates on %d lanes, want %d",
+			len(stim), batches, len(cands), lanes, want)
+	}
+	if replayed > batches*len(stim) {
+		t.Fatalf("replayed %d steps, more than %d batches x %d", replayed, batches, len(stim))
 	}
 	ser, err := e.SerialValidate(cands, stim)
 	if err != nil {
@@ -216,9 +237,110 @@ func TestValidateMatchesSerial(t *testing.T) {
 	}
 	for i := range cands {
 		if par[i] != ser[i] {
-			t.Fatalf("candidate %d (%s): parallel=%v serial=%v", i, cands[i].Describe(), par[i], ser[i])
+			t.Fatalf("%d-step stimulus, candidate %d (%s): parallel=%v serial=%v",
+				len(stim), i, cands[i].Describe(), par[i], ser[i])
 		}
 	}
+	return par, replayed
+}
+
+// TestValidateStopsWhenEveryLaneDies fills one batch with candidates that
+// invert a primary-output LUT, so every lane diverges on the first step:
+// validation must stop after the first replay window.
+func TestValidateStopsWhenEveryLaneDies(t *testing.T) {
+	golden := goldenDesign(t)
+	impl := golden.Clone()
+	e := newTestEngine(t, golden, impl, 1)
+	orID, _ := impl.CellByName("g_or")
+	orTT := impl.Cells[orID].Func.MustTT()
+	var inv uint16
+	for m := uint64(0); m < 4; m++ {
+		if !orTT.Bit(m) {
+			inv |= 1 << m
+		}
+	}
+	cands := make([]Candidate, e.impl.Lanes())
+	for i := range cands {
+		cands[i] = Candidate{Cell: "g_or", Kind: Resynth, TT: inv, Flips: 4}
+	}
+	stim := detStim(3)
+	if len(stim) <= replayWindow {
+		t.Fatalf("stimulus of %d steps fits one window", len(stim))
+	}
+	alive, replayed := checkValidateMatchesSerial(t, e, cands, stim)
+	for i, ok := range alive {
+		if ok {
+			t.Fatalf("candidate %d survived an inverted output", i)
+		}
+	}
+	if replayed != replayWindow {
+		t.Fatalf("replayed %d steps, want one window of %d", replayed, replayWindow)
+	}
+}
+
+// TestValidateSurvivorInLastLane runs a 512-lane program over two full
+// batches whose only survivor sits in the last lane of the last lane
+// word, so the early exit must keep replaying for that one lane.
+func TestValidateSurvivorInLastLane(t *testing.T) {
+	golden := goldenDesign(t)
+	impl := golden.Clone()
+	id, _ := impl.CellByName("g_mux")
+	tt := impl.Cells[id].Func.MustTT()
+	tt.SetBit(5, !tt.Bit(5))
+	impl.Cells[id].Func = tt.ToCover()
+	e := newTestEngine(t, golden, impl, 8)
+	stim := detStim(3)
+	cands, err := e.Enumerate([]string{"g_mux", "g_and", "g_xor", "g_or"}, stim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser, err := e.SerialValidate(cands, stim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead []Candidate
+	var fix *Candidate
+	for i, ok := range ser {
+		if ok {
+			fix = &cands[i]
+		} else {
+			dead = append(dead, cands[i])
+		}
+	}
+	if fix == nil || len(dead) == 0 {
+		t.Fatalf("want survivors and casualties, got %d of %d surviving", len(cands)-len(dead), len(cands))
+	}
+	n := 2 * e.impl.Lanes()
+	batch := make([]Candidate, n)
+	for i := range batch[:n-1] {
+		batch[i] = dead[i%len(dead)]
+	}
+	batch[n-1] = *fix
+	alive, _ := checkValidateMatchesSerial(t, e, batch, stim)
+	for i, ok := range alive {
+		if ok != (i == n-1) {
+			t.Fatalf("candidate %d alive=%v; only the last lane should survive", i, ok)
+		}
+	}
+}
+
+// newTestEngine compiles golden and impl into a repair engine with the
+// implementation program at the given lane width.
+func newTestEngine(tb testing.TB, golden, impl *netlist.Netlist, width int) *Engine {
+	tb.Helper()
+	mg, err := sim.Compile(golden)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mi, err := sim.CompileWidth(impl, width)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := NewEngine(mg, mi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
 }
 
 // TestValidateMatchesSerialOnCatalogDesign repeats the differential
@@ -259,7 +381,8 @@ func TestValidateMatchesSerialOnCatalogDesign(t *testing.T) {
 			suspects = append(suspects, c.Name)
 		}
 	}
-	stim := testgen.Repeat(testgen.ScalarBlocks(len(golden.SortedPINames()), 32, 7), 2)
+	npi := len(golden.SortedPINames())
+	stim := testgen.Repeat(testgen.ScalarBlocks(npi, 32, 7), 2)
 	cands, err := e.Enumerate(suspects, stim)
 	if err != nil {
 		t.Fatal(err)
@@ -267,28 +390,19 @@ func TestValidateMatchesSerialOnCatalogDesign(t *testing.T) {
 	if len(cands) <= 64 {
 		t.Fatalf("want a multi-batch candidate list, got %d", len(cands))
 	}
-	par, batches, err := e.Validate(cands, stim, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batches != (len(cands)+63)/64 {
-		t.Fatalf("batches=%d for %d candidates", batches, len(cands))
-	}
-	ser, err := e.SerialValidate(cands, stim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surviving := 0
-	for i := range cands {
-		if par[i] {
-			surviving++
+	// The enumeration stimulus, then a 3-cycle hold whose length is not a
+	// multiple of the replay window.
+	for _, st := range [][][]uint64{stim, testgen.Repeat(testgen.ScalarBlocks(npi, 50, 9), 3)} {
+		par, _ := checkValidateMatchesSerial(t, e, cands, st)
+		surviving := 0
+		for _, ok := range par {
+			if ok {
+				surviving++
+			}
 		}
-		if par[i] != ser[i] {
-			t.Fatalf("candidate %d (%s): parallel=%v serial=%v", i, cands[i].Describe(), par[i], ser[i])
+		if surviving == 0 {
+			t.Fatal("no surviving candidate — the reverse flip must survive")
 		}
-	}
-	if surviving == 0 {
-		t.Fatal("no surviving candidate — the reverse flip must survive")
 	}
 }
 

@@ -187,13 +187,18 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait for the campaign to actually start, then cancel mid-flight.
-	_, live, unsub, err := svc.Events(id)
+	// The worker may log "start" before the subscription exists, so the
+	// history is scanned before the live channel.
+	past, live, unsub, err := svc.Events(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer unsub()
 	deadline := time.After(30 * time.Second)
 	started := false
+	for _, ev := range past {
+		started = started || ev.Stage == "start"
+	}
 	for !started {
 		select {
 		case ev, ok := <-live:

@@ -190,6 +190,9 @@ func (m *Machine) SetLaneFault(lane int, f LaneFault) error {
 	if err != nil {
 		return err
 	}
+	// Set before arming: a fault rejected below leaves the flag set,
+	// which only costs quiescent-step skips until ClearLaneFaults.
+	m.windowed = m.windowed || to != math.MaxInt32
 	word := int32(lane / 64)
 	mask := uint64(1) << uint(lane%64)
 	switch f.Kind {
@@ -313,6 +316,7 @@ func (m *Machine) ClearLaneFaults() {
 	m.mutNodes = m.mutNodes[:0]
 	m.mutLists = m.mutLists[:0]
 	m.preMuts = m.preMuts[:0]
+	m.windowed = false
 	m.clearLanePatches()
 }
 

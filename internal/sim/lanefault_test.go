@@ -32,12 +32,28 @@ func laneTestNetlist(t *testing.T) *netlist.Netlist {
 // reproduces, lane for lane, the behaviour of an explicitly mutated (or
 // overridden) design, and that fault-free lanes stay untouched.
 func TestLaneFaultMatchesMutatedNetlist(t *testing.T) {
+	for name, stim := range heldScalarStims(16, 7) {
+		t.Run(name, func(t *testing.T) { checkLaneFaultsMatchMutants(t, stim) })
+	}
+}
+
+// heldScalarStims returns broadcast scalar stimulus for the two-input lane
+// test netlist in two shapes: every pattern held 2 cycles, and every
+// pattern held 4 cycles followed by a constant tail.
+func heldScalarStims(patterns int, seed int64) map[string][][]uint64 {
+	blocks := testgen.ScalarBlocks(2, patterns, seed)
+	return map[string][][]uint64{
+		"hold2": testgen.Repeat(blocks, 2),
+		"hold4": holdWithTail(blocks, 4),
+	}
+}
+
+func checkLaneFaultsMatchMutants(t *testing.T, stim [][]uint64) {
 	nl := laneTestNetlist(t)
 	prog, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stim := testgen.Repeat(testgen.ScalarBlocks(2, 16, 7), 2)
 
 	golden := prog.Fork().RunTrace(stim)
 
@@ -182,5 +198,154 @@ func TestLaneFaultForkIsolation(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("armed fault had no effect on lane 0")
+	}
+}
+
+// TestWindowedLaneFaultInsideHold arms, per held pattern, lane faults
+// whose arming window opens and closes inside the hold — on a LUT-driven
+// net and on a primary input — and checks each lane against a replay that
+// switches an equivalent override on and off at the window edges.
+func TestWindowedLaneFaultInsideHold(t *testing.T) {
+	nl := laneTestNetlist(t)
+	prog, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hold, patterns = 4, 16
+	stim := testgen.Repeat(testgen.ScalarBlocks(2, patterns, 7), hold)
+	dID, _ := nl.NetByName("d")
+	bID, _ := nl.NetByName("b")
+
+	type armed struct {
+		lane     int
+		net      netlist.NetID
+		kind     LaneFaultKind
+		from, to int32
+	}
+	var faults []armed
+	for k := 0; k < patterns; k++ {
+		from := int32(k*hold + 1)
+		faults = append(faults,
+			armed{1 + k, dID, LaneStuckAt1, from, from + 2},
+			armed{32 + k, bID, LaneStuckAt0, from, from + 2})
+	}
+	mu := prog.Fork()
+	for _, f := range faults {
+		if err := mu.SetLaneFault(f.lane, LaneFault{Kind: f.kind, Net: f.net, From: f.from, To: f.to}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := mu.RunTrace(stim)
+	golden := prog.Fork().RunTrace(stim)
+
+	for _, f := range faults {
+		// Reference: three replay calls split at the window edges, the
+		// override armed only for the middle one.
+		ref := prog.Fork()
+		var outs []uint64
+		var tr Trace
+		ref.Reset()
+		word := uint64(0)
+		if f.kind == LaneStuckAt1 {
+			word = ^uint64(0)
+		}
+		for seg, part := range [][][]uint64{stim[:f.from], stim[f.from:f.to], stim[f.to:]} {
+			if seg == 1 {
+				if err := ref.SetOverride(f.net, word); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ref.ClearOverride(f.net)
+			}
+			ref.ResumeTraceInto(&tr, part)
+			outs = append(outs, tr.Outs...)
+		}
+		for c := 0; c < got.Cycles; c++ {
+			for po := 0; po < got.NumPOs; po++ {
+				want := outs[c*got.NumPOs+po] >> uint(f.lane) & 1
+				if g := got.Out(c, po) >> uint(f.lane) & 1; g != want {
+					t.Fatalf("lane %d window [%d,%d): cycle %d PO %d got %d want %d",
+						f.lane, f.from, f.to, c, po, g, want)
+				}
+			}
+		}
+	}
+	// Lane 0 carries no fault.
+	for c := 0; c < got.Cycles; c++ {
+		for po := 0; po < got.NumPOs; po++ {
+			if (got.Out(c, po)^golden.Out(c, po))&1 != 0 {
+				t.Fatalf("cycle %d PO %d: windowed faults leaked into lane 0", c, po)
+			}
+		}
+	}
+}
+
+// TestSourcePerturbationsOnHeldRows pins a primary input by override, and
+// perturbs primary inputs per lane (a stuck-at alone, and a stuck-at plus
+// a bridge reading the stuck input on the same lane), under held rows.
+// Each must match a plain replay of stimulus with those input columns
+// rewritten.
+func TestSourcePerturbationsOnHeldRows(t *testing.T) {
+	nl := laneTestNetlist(t)
+	prog, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stim := holdWithTail(testgen.ScalarBlocks(2, 16, 3), 4)
+	aID, _ := nl.NetByName("a")
+	bID, _ := nl.NetByName("b")
+	// rewrite replays stim with column j (PIs sort as a, b) forced to w.
+	rewrite := func(forced map[int]uint64) *Trace {
+		rows := make([][]uint64, len(stim))
+		for c, row := range stim {
+			rows[c] = append([]uint64(nil), row...)
+			for j, w := range forced {
+				rows[c][j] = w
+			}
+		}
+		return prog.Fork().RunTrace(rows)
+	}
+
+	ov := prog.Fork()
+	if err := ov.SetOverride(bID, ^uint64(0)); err != nil {
+		t.Fatal(err)
+	}
+	got := ov.RunTrace(stim)
+	want := rewrite(map[int]uint64{1: ^uint64(0)})
+	for c := 0; c < got.Cycles; c++ {
+		for po := 0; po < got.NumPOs; po++ {
+			if got.Out(c, po) != want.Out(c, po) {
+				t.Fatalf("PI override: cycle %d PO %d got %#x want %#x", c, po, got.Out(c, po), want.Out(c, po))
+			}
+		}
+	}
+
+	mu := prog.Fork()
+	for _, f := range []struct {
+		lane int
+		f    LaneFault
+	}{
+		{9, LaneFault{Kind: LaneStuckAt1, Net: bID}},
+		{5, LaneFault{Kind: LaneStuckAt0, Net: aID}},
+		{5, LaneFault{Kind: LaneBridgeAND, Net: bID, Net2: aID}},
+	} {
+		if err := mu.SetLaneFault(f.lane, f.f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = mu.RunTrace(stim)
+	refs := map[int]*Trace{
+		0: rewrite(nil),
+		9: rewrite(map[int]uint64{1: ^uint64(0)}),
+		5: rewrite(map[int]uint64{0: 0, 1: 0}),
+	}
+	for c := 0; c < got.Cycles; c++ {
+		for po := 0; po < got.NumPOs; po++ {
+			for lane, ref := range refs {
+				if g, w := got.Out(c, po)>>uint(lane)&1, ref.Out(c, po)>>uint(lane)&1; g != w {
+					t.Fatalf("PI lane faults: cycle %d PO %d lane %d got %d want %d", c, po, lane, g, w)
+				}
+			}
+		}
 	}
 }

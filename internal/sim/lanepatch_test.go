@@ -13,12 +13,17 @@ import (
 // per lane and checks every lane against an explicitly mutated and
 // recompiled design, with clean lanes pinned to the unpatched stream.
 func TestLanePatchMatchesRecompiledNetlist(t *testing.T) {
+	for name, stim := range heldScalarStims(24, 11) {
+		t.Run(name, func(t *testing.T) { checkLanePatchesMatchMutants(t, stim) })
+	}
+}
+
+func checkLanePatchesMatchMutants(t *testing.T, stim [][]uint64) {
 	nl := laneTestNetlist(t)
 	prog, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stim := testgen.Repeat(testgen.ScalarBlocks(2, 24, 11), 2)
 	golden := prog.Fork().RunTrace(stim)
 
 	type patch struct {

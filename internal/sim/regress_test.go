@@ -23,9 +23,34 @@ func TestRunTraceMatchesStepOnCatalog(t *testing.T) {
 	for _, d := range bench.Catalog() {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
-			checkTraceMatchesReference(t, d.Build(), 12)
+			nl := d.Build()
+			cols := len(nl.SortedPINames())
+			checkTraceMatchesReference(t, nl, 1, testgen.RandomBlocks(cols, 12, 0xC0FFEE))
+			// Held stimulus: the replay reuses quiescent steps, and the
+			// reference interpreter never does.
+			checkTraceMatchesReference(t, nl, 1, heldStim(cols, 12, 0xC0FFEE))
+			checkTraceMatchesReference(t, nl, 8, heldStim(cols, 12, 0xFEED))
+			checkTraceMatchesReference(t, nl, 8, heldStim(cols*8, 12, 0xBEEF))
 		})
 	}
+}
+
+// heldStim is random stimulus in the shape campaigns replay; see
+// holdWithTail.
+func heldStim(cols, blocks int, seed int64) [][]uint64 {
+	return holdWithTail(testgen.RandomBlocks(cols, blocks, seed), 4)
+}
+
+// holdWithTail holds every row for hold cycles (testgen.Repeat aliases
+// the held rows) and appends a constant tail of 6 equal but distinct
+// copies of the first row, so trace replays reuse quiescent steps through
+// both the aliased and the word-compare row test.
+func holdWithTail(rows [][]uint64, hold int) [][]uint64 {
+	stim := testgen.Repeat(rows, hold)
+	for i := 0; i < 6; i++ {
+		stim = append(stim, append([]uint64(nil), rows[0]...))
+	}
+	return stim
 }
 
 // TestRunTraceMatchesStepOnUnclassifiedChains runs the reference
@@ -60,20 +85,24 @@ func TestRunTraceMatchesStepOnUnclassifiedChains(t *testing.T) {
 			t.Fatalf("LUT driving net %d lowered to opcode %d, want a generic opTT* kernel", n.out, n.op)
 		}
 	}
-	checkTraceMatchesReference(t, nl, 12)
+	cols := len(nl.SortedPINames())
+	checkTraceMatchesReference(t, nl, 1, testgen.RandomBlocks(cols, 12, 0xC0FFEE))
+	checkTraceMatchesReference(t, nl, 1, heldStim(cols, 12, 0xC0FFEE))
 }
 
-// checkTraceMatchesReference replays nl for the given number of cycles of
-// random stimulus through the compiled RunTrace path and the reference
-// interpreter, failing on the first output or DFF-state word that differs.
-func checkTraceMatchesReference(t *testing.T, nl *netlist.Netlist, cycles int) {
+// checkTraceMatchesReference replays stim through the compiled RunTrace
+// path at lane width W and through the reference interpreter, failing on
+// the first output or DFF-state word that differs. Narrow rows (one word
+// per PI) are broadcast, so every lane word must match one reference
+// replay; wide rows (W words per PI) are checked word by word against a
+// reference replay of that word's patterns.
+func checkTraceMatchesReference(t *testing.T, nl *netlist.Netlist, W int, stim [][]uint64) {
 	t.Helper()
 	pis := nl.SortedPINames()
 	pos := nl.SortedPONames()
-	stim := testgen.RandomBlocks(len(pis), cycles, 0xC0FFEE)
 
 	// New path: compiled trace.
-	mt, err := Compile(nl)
+	mt, err := CompileWidth(nl, W)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,35 +115,54 @@ func checkTraceMatchesReference(t *testing.T, nl *netlist.Netlist, cycles int) {
 	}
 	mt.CaptureState(true)
 	tr := mt.RunTrace(stim)
+	wide := len(stim) > 0 && len(stim[0]) > len(pis)
 
-	// Legacy path: per-cycle maps through the cover interpreter.
-	ms, err := CompileReference(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, row := range stim {
-		in := make(map[string]uint64, len(pis))
-		for j, name := range pis {
-			in[name] = row[j]
+	for w := 0; w < W; w++ {
+		if !wide && w > 0 {
+			// Broadcast rows: every lane word must equal word 0.
+			for c := 0; c < tr.Cycles; c++ {
+				for i := range pos {
+					if tr.OutW(c, cols[i], w) != tr.Out(c, cols[i]) {
+						t.Fatalf("W=%d cycle %d output %q: word %d %#x != word 0 %#x",
+							W, c, pos[i], w, tr.OutW(c, cols[i], w), tr.Out(c, cols[i]))
+					}
+				}
+			}
+			continue
 		}
-		out, err := ms.Step(in)
+		rows := stim
+		if wide {
+			rows = narrowWord(stim, len(pis), W, w)
+		}
+		// Legacy path: per-cycle maps through the cover interpreter.
+		ms, err := CompileReference(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, name := range pos {
-			if tr.Out(c, cols[i]) != out[name] {
-				t.Fatalf("cycle %d output %q: trace %#x != step %#x",
-					c, name, tr.Out(c, cols[i]), out[name])
+		for c, row := range rows {
+			in := make(map[string]uint64, len(pis))
+			for j, name := range pis {
+				in[name] = row[j]
 			}
-		}
-		sw := ms.StateWords()
-		if len(sw) != tr.NumState {
-			t.Fatalf("DFF count mismatch: %d vs %d", len(sw), tr.NumState)
-		}
-		for i := range sw {
-			if tr.State(c, i) != sw[i] {
-				t.Fatalf("cycle %d dff %d: trace state %#x != step state %#x",
-					c, i, tr.State(c, i), sw[i])
+			out, err := ms.Step(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range pos {
+				if tr.OutW(c, cols[i], w) != out[name] {
+					t.Fatalf("W=%d word %d cycle %d output %q: trace %#x != step %#x",
+						W, w, c, name, tr.OutW(c, cols[i], w), out[name])
+				}
+			}
+			sw := ms.StateWords()
+			if len(sw) != tr.NumState {
+				t.Fatalf("DFF count mismatch: %d vs %d", len(sw), tr.NumState)
+			}
+			for i := range sw {
+				if tr.StateW(c, i, w) != sw[i] {
+					t.Fatalf("W=%d word %d cycle %d dff %d: trace state %#x != step state %#x",
+						W, w, c, i, tr.StateW(c, i, w), sw[i])
+				}
 			}
 		}
 	}

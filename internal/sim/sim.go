@@ -118,6 +118,11 @@ type Machine struct {
 	patchNodes []int32
 	patchLists [][]lanePatch
 	patchTabs  []uint64 // pair tables of all armed patches
+
+	// windowed is set once any armed lane fault carries a finite arming
+	// window, and cleared with the faults: such a fault makes evaluation
+	// depend on the cycle counter, so trace replays never skip a step.
+	windowed bool
 }
 
 // Compile levelizes the netlist and lowers it into a ready-to-run machine
@@ -406,18 +411,33 @@ func (m *Machine) Eval() {
 // Clock latches every DFF's D input into its state. Callers should have
 // called Eval first; the usual cycle is SetPIs → Eval → read outputs →
 // Clock.
-func (m *Machine) Clock() {
+func (m *Machine) Clock() { m.clock() }
+
+// clock is Clock reporting whether the edge changed any state word: the
+// OR of old^new over every latched word, zero when the state held. The
+// fold is branch-free so the latch loop costs the same whether or not the
+// design ever settles.
+func (m *Machine) clock() uint64 {
 	m.cycle++
 	W := m.width
+	var diff uint64
 	if W == 1 {
+		st := m.state[:len(m.dffD)]
 		for i, d := range m.dffD {
-			m.state[i] = m.val[d]
+			v := m.val[d]
+			diff |= st[i] ^ v
+			st[i] = v
 		}
-		return
+		return diff
 	}
 	for i, d := range m.dffD {
-		copy(m.state[i*W:i*W+W], m.val[int(d)*W:int(d)*W+W])
+		dst := m.state[i*W : i*W+W]
+		for w, v := range m.val[int(d)*W : int(d)*W+W] {
+			diff |= dst[w] ^ v
+			dst[w] = v
+		}
 	}
+	return diff
 }
 
 // CycleIndex returns the trace cycle the next Eval will evaluate: 0
