@@ -209,10 +209,9 @@ func faultScanSetup(b *testing.B, name string) (*sim.Machine, []faults.Fault) {
 // BenchmarkFaultScan measures the 64-lane fault-parallel mutant engine:
 // one op fault-simulates the design's whole exhaustive universe (stuck-at
 // per net + single LUT-bit flips) in 64-fault batches sharing one
-// compiled program. The acceptance metric is faults/sec versus
-// BenchmarkFaultScanSerial on the identical broadcast stimulus (>= 8x);
-// cmd/benchrepro -json-faults records the same comparison — against the
-// even-stronger pattern-packed serial baseline — in BENCH_faults.json.
+// compiled program. The metric is faults/sec, to compare with
+// BenchmarkFaultScanSerial on the identical broadcast stimulus;
+// internal/faults TestScanFasterThanSerial holds the floor.
 func BenchmarkFaultScan(b *testing.B) {
 	for _, name := range simBenchSet() {
 		b.Run(name, func(b *testing.B) {
@@ -385,7 +384,10 @@ func BenchmarkDebugLoop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sess.RunLoop(3, 8, 4, 3, 4); err != nil {
+		if _, err := sess.RunLoopCore(3, 8, 4, 3, 4); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lay.FullRePlaceRoute(sess.Seed + 1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,7 +424,7 @@ func BenchmarkTechMapMIPS(b *testing.B) {
 // the transactional engine: a checkpoint, a two-net probe insertion
 // through ApplyDelta on the persistent router, and the rollback — the
 // unit of speculative work the debug loop pays per round (DESIGN.md
-// §11, BENCH_eco.json).
+// §11).
 func BenchmarkEcoRound(b *testing.B) {
 	info, err := bench.ByName("c880")
 	if err != nil {
@@ -460,7 +462,7 @@ func BenchmarkEcoRound(b *testing.B) {
 // BenchmarkProbeSwitch measures one probe round on the pre-reserved
 // debug overlay: a checkpoint, a tap-mux selection (pure configuration
 // mutation, zero place/route/STA) and the rollback — the zero-CAD
-// counterpart of BenchmarkEcoRound (DESIGN.md §16, BENCH_overlay.json).
+// counterpart of BenchmarkEcoRound (DESIGN.md §16).
 func BenchmarkProbeSwitch(b *testing.B) {
 	info, err := bench.ByName("c880")
 	if err != nil {

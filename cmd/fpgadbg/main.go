@@ -112,37 +112,26 @@ func main() {
 	if *repairSrch && *kind == service.KindDebug {
 		*kind = service.KindRepair
 	}
-	if *kind != service.KindDebug && *kind != service.KindFaultScan && *kind != service.KindRepair {
-		die(fmt.Errorf("-kind must be %q, %q or %q (got %q)",
-			service.KindDebug, service.KindFaultScan, service.KindRepair, *kind))
-	}
-	switch *faultModel {
-	case "", service.FaultModelSingle, service.FaultModelPair, service.FaultModelSEU, service.FaultModelInterconnect:
-	default:
-		die(fmt.Errorf("-fault-model must be %q, %q, %q or %q (got %q)",
-			service.FaultModelSingle, service.FaultModelPair, service.FaultModelSEU,
-			service.FaultModelInterconnect, *faultModel))
-	}
-	if *faultModel != "" && *faultModel != service.FaultModelSingle && *kind != service.KindFaultScan {
-		die(fmt.Errorf("-fault-model %s needs -kind faultscan", *faultModel))
-	}
 	if *kind == service.KindRepair {
 		*repairSrch = true
-	}
-	if *useOverlay && *kind == service.KindFaultScan {
-		die(fmt.Errorf("-overlay does not apply to -kind faultscan (no layout is built)"))
 	}
 	info, err := bench.ByName(*design)
 	if err != nil {
 		die(err)
 	}
+	// One spec, validated the same way whether the campaign runs here or
+	// on a daemon.
+	spec := service.Spec{
+		Design: info.Name, Kind: *kind, FaultSeed: *faultSeed, Seed: *seed,
+		Overhead: *overhead, TileFrac: *tilefrac, PlaceEffort: *effort,
+		Words: *words, Cycles: *cycles, Patterns: *patterns, FaultModel: *faultModel,
+		UseDict: *useDict, Overlay: *useOverlay, Priority: *priority, SimLanes: *simLanes,
+	}
+	if err := spec.Validate(); err != nil {
+		die(err)
+	}
 	if *remote != "" {
-		if err := runRemote(*remote, *traceOut, service.Spec{
-			Design: info.Name, Kind: *kind, FaultSeed: *faultSeed, Seed: *seed,
-			Overhead: *overhead, TileFrac: *tilefrac, PlaceEffort: *effort,
-			Words: *words, Cycles: *cycles, Patterns: *patterns, FaultModel: *faultModel,
-			UseDict: *useDict, Overlay: *useOverlay, Priority: *priority, SimLanes: *simLanes,
-		}); err != nil {
+		if err := runRemote(*remote, *traceOut, spec); err != nil {
 			die(err)
 		}
 		return
@@ -160,7 +149,7 @@ func main() {
 			// for -remote.
 			rows, err := experiments.MultiFaultCampaign(experiments.Config{
 				Designs: []string{info.Name}, Seed: *seed, Workers: 1,
-			}, *patterns, *cycles, 0, 0)
+			}, *patterns, *cycles, 0)
 			if err != nil {
 				die(err)
 			}
@@ -256,9 +245,6 @@ func main() {
 		sess.Causal = true
 	}
 	if *simLanes > 0 {
-		if *simLanes%64 != 0 || *simLanes > 64*sim.MaxWidth {
-			die(fmt.Errorf("-sim-lanes must be a multiple of 64 in [64, %d] (got %d)", 64*sim.MaxWidth, *simLanes))
-		}
 		sess.SimWidth = *simLanes / 64
 	}
 	if *repairSrch {

@@ -24,7 +24,7 @@
 //
 // See DESIGN.md for the system inventory (the compiled emulation
 // substrate is §3) and EXPERIMENTS.md for paper-versus-measured results.
-// The top-level benchmarks in bench_test.go regenerate every table and
-// figure; cmd/benchrepro -json records the simulator's performance
-// trajectory in BENCH_sim.json.
+// The top-level benchmarks in bench_test.go and cmd/benchrepro regenerate
+// every table and figure; the benchmark module in benchmark/ measures
+// campaign turnaround end to end.
 package fpgadbg

@@ -72,7 +72,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := sess.RunLoop(4, 8, 6, 4, 4)
+	rep, err := sess.RunLoopCore(4, 8, 6, 4, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	full, err := lay.FullRePlaceRoute(sess.Seed + 1000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,9 +94,9 @@ func main() {
 			i+1, c.Fixed, c.Report.AffectedTiles, c.Verified)
 	}
 	fmt.Printf("\ntotal tile-local CAD effort: %v\n", rep.TileEffort)
-	fmt.Printf("one full re-place-and-route: %v\n", rep.FullEffort)
+	fmt.Printf("one full re-place-and-route: %v\n", full)
 	fmt.Printf("=> per-iteration speedup %.1fx\n",
-		rep.FullEffort.Work()/(rep.TileEffort.Work()/float64(rep.Iterations+len(rep.Diagnoses))))
+		full.Work()/(rep.TileEffort.Work()/float64(rep.Iterations+len(rep.Diagnoses))))
 	if err := lay.Check(); err != nil {
 		log.Fatal(err)
 	}

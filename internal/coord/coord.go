@@ -266,7 +266,7 @@ func (co *Coordinator) Stats() service.Stats {
 // RouteStats snapshots the coordinator's own routing counters.
 type RouteStats struct {
 	// Routed is submissions landed per replica, home picks and steals
-	// both — the shard-balance series BENCH_store.json reports.
+	// both.
 	Routed []int64 `json:"routed"`
 	// Steals counts submissions diverted off their home replica.
 	Steals int64 `json:"steals"`

@@ -63,6 +63,29 @@ func TestCoordinatorRoutesByDesign(t *testing.T) {
 	}
 }
 
+// TestDefaultDesignMixUsesEveryReplica checks that 9sym and c880, the
+// two-design mix the service tests use, shard apart: routed by design
+// affinity alone, a mixed burst leaves neither of two replicas idle.
+func TestDefaultDesignMixUsesEveryReplica(t *testing.T) {
+	co, err := New(Config{Replicas: 2, StealMargin: -1, // no stealing: pure affinity
+		Service: service.Config{Workers: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for _, d := range []string{"9sym", "c880"} {
+		for fs := int64(1); fs <= 2; fs++ {
+			if _, err := co.Submit(fastSpec(d, fs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rs := co.RouteStats()
+	if rs.Routed[0] == 0 || rs.Routed[1] == 0 || rs.Steals != 0 {
+		t.Fatalf("design mix left a replica idle: %+v", rs)
+	}
+}
+
 func TestCoordinatorStealsOnImbalance(t *testing.T) {
 	// No workers: queues only grow, so depth imbalance is deterministic.
 	co, err := New(Config{Replicas: 2, StealMargin: 1,

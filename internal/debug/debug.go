@@ -806,34 +806,16 @@ type LoopReport struct {
 	Iterations  int
 	Corrections []*Correction
 	Diagnoses   []*Diagnosis
-	// TileEffort is the total tile-local CAD work; FullEffort is what one
-	// full re-place-and-route would have cost (the non-tiled comparison
-	// point for every iteration).
+	// TileEffort is the total tile-local CAD work. The non-tiled
+	// comparison point, one full re-place-and-route, is measured by the
+	// caller (Layout.FullRePlaceRoute); the campaign service takes it from
+	// its artifact cache.
 	TileEffort core.Effort
-	FullEffort core.Effort
 	Clean      bool
 }
 
-// RunLoop executes detect→localize→correct until the design is clean or
-// maxIters is exhausted — the paper's while-loop (steps 9–22) — then
-// measures the full re-place-and-route baseline for comparison.
-func (s *Session) RunLoop(maxIters, words, cycles, maxRounds, probesPerRound int) (*LoopReport, error) {
-	rep, err := s.RunLoopCore(maxIters, words, cycles, maxRounds, probesPerRound)
-	if err != nil {
-		return nil, err
-	}
-	full, err := s.Layout.FullRePlaceRoute(s.Seed + 1000)
-	if err != nil {
-		return nil, err
-	}
-	rep.FullEffort = full
-	return rep, nil
-}
-
-// RunLoopCore is RunLoop without the trailing baseline measurement
-// (LoopReport.FullEffort stays zero). The campaign service uses it and
-// fills the baseline from its artifact cache instead of re-measuring per
-// campaign.
+// RunLoopCore executes detect→localize→correct until the design is clean
+// or maxIters is exhausted — the paper's while-loop (steps 9–22).
 func (s *Session) RunLoopCore(maxIters, words, cycles, maxRounds, probesPerRound int) (*LoopReport, error) {
 	rep := &LoopReport{}
 	for iter := 0; iter < maxIters; iter++ {

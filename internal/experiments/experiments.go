@@ -9,6 +9,7 @@ import (
 	"fpgadbg/internal/bench"
 	"fpgadbg/internal/core"
 	"fpgadbg/internal/device"
+	"fpgadbg/internal/logic"
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/synth"
 	"fpgadbg/internal/timing"
@@ -388,6 +389,47 @@ func Figure5(cfg Config) ([]Fig5Row, error) {
 		rows = append(rows, rs...)
 	}
 	return rows, nil
+}
+
+// ProbeDelta builds a one-CLB observation change: two internal nets get
+// a capture stage (buffer LUT + flip-flop, read back through
+// configuration readback like real emulation probes, so no I/O pad is
+// consumed) — the paper's "one affected tile" measurement unit. The
+// tapped nets are offset by round so successive rounds touch different
+// wiring. Figure5, the top-level BenchmarkEcoRound and the catalog
+// transaction oracle in internal/core all apply it.
+func ProbeDelta(l *core.Layout, round int) (core.Delta, error) {
+	var added []netlist.CellID
+	count, skip := 0, 0
+	for ni := range l.NL.Nets {
+		if count >= 2 {
+			break
+		}
+		net := netlist.NetID(ni)
+		if l.NL.Nets[ni].Dead || l.NL.Nets[ni].Driver == netlist.NilCell {
+			continue
+		}
+		if skip < 3*round {
+			skip++
+			continue
+		}
+		d := l.NL.AddNet(fmt.Sprintf("ecoprobe%d_%d_d", round, ni))
+		q := l.NL.AddNet(fmt.Sprintf("ecoprobe%d_%d_q", round, ni))
+		lut, err := l.NL.AddLUT(fmt.Sprintf("ecoprobe%d_%d", round, ni), logic.BufN(), []netlist.NetID{net}, d)
+		if err != nil {
+			return core.Delta{}, err
+		}
+		ff, err := l.NL.AddDFF(fmt.Sprintf("ecoprobeff%d_%d", round, ni), d, q, 0)
+		if err != nil {
+			return core.Delta{}, err
+		}
+		added = append(added, lut, ff)
+		count++
+	}
+	if count == 0 {
+		return core.Delta{}, fmt.Errorf("experiments: no observable nets for round %d", round)
+	}
+	return core.Delta{Added: added}, nil
 }
 
 // tailWall converts the fixed work tail into wall time at the full run's

@@ -14,12 +14,12 @@ import (
 // plain output comparison against the golden model expose, and how
 // quickly.
 type FaultCampaignRow struct {
-	Design     string `json:"design"`
-	Injections int    `json:"injections"`
-	Detected   int    `json:"detected"`
+	Design     string
+	Injections int
+	Detected   int
 	// AvgCycles is the mean number of 64-pattern cycles until the first
 	// diverging output among detected errors.
-	AvgCycles float64 `json:"avg_cycles_to_detect"`
+	AvgCycles float64
 }
 
 // FaultCampaign injects errors (seeds 1..injections) into clones of each

@@ -7,17 +7,13 @@ package experiments
 // the exact observed signature in simulation); transient windowed SEUs
 // report detection latency from the arming edge and how much the window
 // masks; interconnect faults (route stuck-ats + bridges) report coverage.
-// The pair scan is also timed against the serial differential path
-// (clone + apply both faults + recompile per pair) — the lane-vs-serial
-// speedup cmd/benchrepro -json-multifault records into
-// BENCH_multifault.json.
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
+	"fpgadbg/internal/bench"
 	"fpgadbg/internal/debug"
 	"fpgadbg/internal/faults"
 	"fpgadbg/internal/sim"
@@ -25,7 +21,7 @@ import (
 
 // MultiFaultRow is one design's multi-fault campaign outcome.
 type MultiFaultRow struct {
-	Design string `json:"design"`
+	Design string
 
 	// Fault pairs: the sampled suspect-ranked pair universe, how many
 	// pairs any output exposed, how many of those the composition
@@ -37,45 +33,35 @@ type MultiFaultRow struct {
 	// (diagnosed + masked) / detected — the share of detected pairs for
 	// which the dictionary returned a simulation-exact verdict without a
 	// single probe round.
-	Pairs          int     `json:"pairs"`
-	PairsDetected  int     `json:"pairs_detected"`
-	PairsDiagnosed int     `json:"pairs_diagnosed"`
-	PairDiagRate   float64 `json:"pair_diag_rate"`
-	PairsMasked    int     `json:"pairs_masked"`
-	MaskingRate    float64 `json:"masking_rate"`
+	Pairs          int
+	PairsDetected  int
+	PairsDiagnosed int
+	PairDiagRate   float64
+	PairsMasked    int
+	MaskingRate    float64
 
 	// Transient SEUs: a stride sample of the single-fault universe armed
 	// only for a short cycle window. Latency percentiles are measured
 	// from the arming edge among detected upsets; MaskedFraction is the
 	// share of upsets whose permanent arm is detected but whose windowed
 	// arm never reaches an output.
-	SEUFaults      int     `json:"seu_faults"`
-	SEUDetected    int     `json:"seu_detected"`
-	SEULatencyP50  float64 `json:"seu_latency_p50"`
-	SEULatencyP99  float64 `json:"seu_latency_p99"`
-	MaskedFraction float64 `json:"masked_fraction"`
+	SEUFaults      int
+	SEUDetected    int
+	SEULatencyP50  float64
+	SEULatencyP99  float64
+	MaskedFraction float64
 
 	// Interconnect: route stuck-ats on every LUT pin plus sampled
 	// bridges, and their combined detection coverage.
-	RouteFaults          int     `json:"route_faults"`
-	BridgeFaults         int     `json:"bridge_faults"`
-	InterconnectCoverage float64 `json:"interconnect_coverage"`
-
-	// Lane-vs-serial pair-scan throughput: pairs per second through the
-	// lane-packed engine (whole universe) versus the serial differential
-	// path (clone + apply + recompile per pair, on SerialSampled pairs).
-	SerialSampled     int     `json:"serial_sampled"`
-	SerialPairsPerSec float64 `json:"serial_pairs_per_sec"`
-	LanePairsPerSec   float64 `json:"lane_pairs_per_sec"`
-	Speedup           float64 `json:"speedup"`
+	RouteFaults          int
+	BridgeFaults         int
+	InterconnectCoverage float64
 }
 
 // MultiFaultCampaign runs the three-model campaign on every catalog
-// design. Designs run serially — the speedup column is a timing
-// measurement, and concurrent runs would skew it. maxPairs bounds the
-// sampled pair universe (0 = 256); serialCap bounds the pairs the serial
-// baseline replays (0 = 96).
-func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) ([]MultiFaultRow, error) {
+// design; designs fan out over the worker pool. maxPairs bounds the
+// sampled pair universe (0 = 256).
+func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs int) ([]MultiFaultRow, error) {
 	cfg = cfg.withDefaults()
 	if patterns < 1 {
 		patterns = 64
@@ -83,19 +69,15 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 	if cycles < 1 {
 		cycles = 2
 	}
-	if serialCap <= 0 {
-		serialCap = 96
-	}
 	scfg := faults.ScanConfig{Patterns: patterns, Cycles: cycles, Seed: cfg.Seed}
-	var rows []MultiFaultRow
-	for _, d := range cfg.catalog() {
+	return forEachDesign(cfg, func(d bench.Info) (MultiFaultRow, error) {
 		golden, err := Mapped(d)
 		if err != nil {
-			return nil, err
+			return MultiFaultRow{}, err
 		}
 		prog, err := sim.Compile(golden)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
 		row := MultiFaultRow{Design: d.Name}
 		u := faults.Universe(golden)
@@ -103,21 +85,16 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 		// Fault pairs: dictionary, sampled universe, lane scan, diagnosis.
 		dict, err := debug.BuildSyndromeDict(prog, nil, scfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
 		pu := faults.PairUniverse(golden, u, faults.PairConfig{
 			MaxPairs: maxPairs, Seed: cfg.Seed, Singles: dict.Singles(),
 		})
 		row.Pairs = len(pu)
-		if _, err := faults.PairScan(prog, pu[:min(len(pu), 8)], scfg); err != nil { // warm
-			return nil, err
-		}
-		start := time.Now()
 		prs, err := faults.PairScan(prog, pu, scfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
-		laneWall := time.Since(start)
 		for _, r := range prs {
 			if !r.Detected {
 				continue
@@ -125,7 +102,7 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 			row.PairsDetected++
 			m, err := dict.Diagnose(prog, r.Syndrome)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+				return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 			}
 			switch {
 			case m.Class == debug.ClassPair && m.Confirmed:
@@ -141,24 +118,6 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 			row.MaskingRate = float64(row.PairsMasked) / float64(row.Pairs)
 		}
 
-		// Serial baseline on a stride sample of the same pairs.
-		sample := stridePairSample(pu, serialCap)
-		row.SerialSampled = len(sample)
-		start = time.Now()
-		if _, err := faults.SerialPairScan(prog, sample, scfg); err != nil {
-			return nil, fmt.Errorf("experiments: %s serial: %w", d.Name, err)
-		}
-		serWall := time.Since(start)
-		if s := laneWall.Seconds(); s > 0 {
-			row.LanePairsPerSec = float64(len(pu)) / s
-		}
-		if s := serWall.Seconds(); s > 0 {
-			row.SerialPairsPerSec = float64(len(sample)) / s
-		}
-		if row.SerialPairsPerSec > 0 {
-			row.Speedup = row.LanePairsPerSec / row.SerialPairsPerSec
-		}
-
 		// Transient SEUs: windowed + permanent arms of a stride sample.
 		cyclesTotal := patterns * cycles
 		wu := faults.WindowUniverse(u, cyclesTotal, 2*cycles, 512, cfg.Seed)
@@ -169,11 +128,11 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 		}
 		wres, err := faults.Scan(prog, wu, scfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
 		pres, err := faults.Scan(prog, perm, scfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
 		row.SEUFaults = len(wu)
 		var lat []float64
@@ -198,7 +157,7 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 		// Interconnect faults.
 		iu, err := faults.InterconnectUniverse(golden, faults.InterconnectConfig{Seed: cfg.Seed})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
 		for _, f := range iu {
 			if f.Kind == faults.BridgeAND || f.Kind == faults.BridgeOR {
@@ -209,7 +168,7 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 		}
 		ires, err := faults.Scan(prog, iu, scfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
+			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
 		idet := 0
 		for _, r := range ires {
@@ -220,23 +179,8 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs, serialCap int) (
 		if len(iu) > 0 {
 			row.InterconnectCoverage = float64(idet) / float64(len(iu))
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// stridePairSample picks up to n evenly spaced pairs, always including
-// the first.
-func stridePairSample(ps []faults.Pair, n int) []faults.Pair {
-	if len(ps) <= n {
-		return ps
-	}
-	stride := len(ps) / n
-	out := make([]faults.Pair, 0, n)
-	for i := 0; i < len(ps) && len(out) < n; i += stride {
-		out = append(out, ps[i])
-	}
-	return out
+		return row, nil
+	})
 }
 
 // latencyPercentiles returns the p50 and p99 of xs (0, 0 when empty).
@@ -253,13 +197,13 @@ func latencyPercentiles(xs []float64) (p50, p99 float64) {
 func FormatMultiFault(rows []MultiFaultRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Multi-fault campaign: pairs (lane-packed + syndrome composition), windowed SEUs, interconnect")
-	fmt.Fprintf(&b, "%-11s %6s %6s %6s %7s %7s %8s %8s %7s %7s %8s %8s\n",
-		"design", "pairs", "det", "diag", "res%", "mask%", "seu-p50", "seu-p99", "seumsk%", "ic-cov%", "ser-p/s", "speedup")
+	fmt.Fprintf(&b, "%-11s %6s %6s %6s %7s %7s %8s %8s %7s %7s\n",
+		"design", "pairs", "det", "diag", "res%", "mask%", "seu-p50", "seu-p99", "seumsk%", "ic-cov%")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s %6d %6d %6d %6.1f%% %6.1f%% %8.0f %8.0f %6.1f%% %6.1f%% %8.0f %7.1fx\n",
+		fmt.Fprintf(&b, "%-11s %6d %6d %6d %6.1f%% %6.1f%% %8.0f %8.0f %6.1f%% %6.1f%%\n",
 			r.Design, r.Pairs, r.PairsDetected, r.PairsDiagnosed, 100*r.PairDiagRate,
 			100*r.MaskingRate, r.SEULatencyP50, r.SEULatencyP99, 100*r.MaskedFraction,
-			100*r.InterconnectCoverage, r.SerialPairsPerSec, r.Speedup)
+			100*r.InterconnectCoverage)
 	}
 	return b.String()
 }

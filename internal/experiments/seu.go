@@ -1,14 +1,12 @@
 package experiments
 
-// The SEU vulnerability campaign and the fault-scan throughput benchmark.
-// Both run on the fault-parallel mutant engine (internal/faults.Scan):
-// the exhaustive single-fault universe of each design — stuck-at-0/1 on
-// every net, every single LUT-bit flip — is simulated 64 mutants at a
-// time, one per simulator bit lane, against the golden trace. The
-// campaign reports per-design detection coverage and latency (how many
-// upsets random functional patterns expose, and how fast); the benchmark
-// records the measured throughput advantage over the legacy serial
-// clone-mutate-recompile path into BENCH_faults.json.
+// The SEU vulnerability campaign. It runs on the fault-parallel mutant
+// engine (internal/faults.Scan): the exhaustive single-fault universe of
+// each design — stuck-at-0/1 on every net, every single LUT-bit flip — is
+// simulated 64 mutants at a time, one per simulator bit lane, against the
+// golden trace. The campaign reports per-design detection coverage and
+// latency: how many upsets random functional patterns expose, and how
+// fast.
 
 import (
 	"fmt"
@@ -19,22 +17,12 @@ import (
 	"fpgadbg/internal/debug"
 	"fpgadbg/internal/faults"
 	"fpgadbg/internal/sim"
-	"fpgadbg/internal/testgen"
 )
 
 // LatencyBuckets is the number of power-of-two detection-latency
 // histogram buckets: bucket k counts faults first detected at a cycle c
 // with c+1 in [2^k, 2^(k+1)), and the last bucket absorbs the tail.
 const LatencyBuckets = 10
-
-// LatencyBucketLabel names histogram bucket k for tables and JSON docs.
-func LatencyBucketLabel(k int) string {
-	lo := 1 << uint(k)
-	if k == LatencyBuckets-1 {
-		return fmt.Sprintf("%d+", lo)
-	}
-	return fmt.Sprintf("%d-%d", lo, 2<<uint(k)-1)
-}
 
 // latencyBucket maps a first-detection cycle to its histogram bucket.
 func latencyBucket(firstCycle int) int {
@@ -51,28 +39,28 @@ func latencyBucket(firstCycle int) int {
 // quickly, and how much of it the fault dictionary could localize without
 // probes.
 type SEURow struct {
-	Design string `json:"design"`
+	Design string
 	// Faults is the universe size (2 stuck-ats per net + LUT truth-table
 	// bits); Batches how many 64-lane groups it took.
-	Faults  int `json:"faults"`
-	Batches int `json:"batches"`
+	Faults  int
+	Batches int
 	// Detected / Coverage report overall detection; the per-class splits
 	// separate wire upsets from configuration-bit upsets.
-	Detected        int     `json:"detected"`
-	Coverage        float64 `json:"coverage"`
-	StuckAtCoverage float64 `json:"stuck_at_coverage"`
-	LUTFlipCoverage float64 `json:"lut_flip_coverage"`
+	Detected        int
+	Coverage        float64
+	StuckAtCoverage float64
+	LUTFlipCoverage float64
 	// MeanLatencyCycles is the mean first-detection cycle (1-based) among
-	// detected faults; LatencyHist buckets them by LatencyBucketLabel.
-	MeanLatencyCycles float64             `json:"mean_latency_cycles"`
-	LatencyHist       [LatencyBuckets]int `json:"latency_hist"`
+	// detected faults; LatencyHist buckets them by power of two.
+	MeanLatencyCycles float64
+	LatencyHist       [LatencyBuckets]int
 	// Diagnosable is the fraction of detected faults whose PO-mismatch
 	// signature class implicates at most debug.DefaultDictMaxSuspects
 	// cells — i.e. the fault dictionary localizes them with zero probes.
-	Diagnosable float64 `json:"diagnosable"`
+	Diagnosable float64
 	// FaultsPerSec is the fault-parallel engine's measured throughput for
 	// this design (whole universe, wall clock).
-	FaultsPerSec float64 `json:"faults_per_sec"`
+	FaultsPerSec float64
 }
 
 // SEUCampaign fault-simulates the exhaustive universe of every design in
@@ -167,177 +155,6 @@ func FormatSEU(rows []SEURow) string {
 		fmt.Fprintf(&b, "%-11s %8d %8d %7.1f%% %8.1f%% %8.1f%% %9.1f %7.1f%% %12.0f\n",
 			r.Design, r.Faults, r.Detected, 100*r.Coverage, 100*r.StuckAtCoverage,
 			100*r.LUTFlipCoverage, r.MeanLatencyCycles, 100*r.Diagnosable, r.FaultsPerSec)
-	}
-	return b.String()
-}
-
-// FaultBenchRow is one design's fault-scan throughput measurement:
-// faults per second through the 64-lane fault-parallel engine versus the
-// serial baseline (per fault: netlist clone, mutation, recompile, packed
-// pattern-parallel replay — the shape the fault campaign had before the
-// mutant engine). Both sides apply the same number of test patterns per
-// fault. cmd/benchrepro -json-faults serializes these rows to
-// BENCH_faults.json.
-type FaultBenchRow struct {
-	Design   string `json:"design"`
-	Faults   int    `json:"faults"`
-	Batches  int    `json:"batches"`
-	Patterns int    `json:"patterns"`
-	Cycles   int    `json:"cycles"`
-	// SerialSampled is how many universe faults the (much slower) serial
-	// side actually timed; its throughput is measured on that sample.
-	SerialSampled        int     `json:"serial_sampled"`
-	SerialFaultsPerSec   float64 `json:"serial_faults_per_sec"`
-	ParallelFaultsPerSec float64 `json:"parallel_faults_per_sec"`
-	Speedup              float64 `json:"speedup"`
-	DetectedParallel     int     `json:"detected"`
-}
-
-// FaultScanBench measures fault-parallel vs serial throughput per design.
-// Timing runs serially (concurrent timing would skew the numbers);
-// serialCap bounds the faults the serial side replays (0 = 192).
-func FaultScanBench(cfg Config, patterns, cycles, serialCap int) ([]FaultBenchRow, error) {
-	cfg = cfg.withDefaults()
-	if patterns < 1 {
-		patterns = 64
-	}
-	if cycles < 1 {
-		cycles = 2
-	}
-	if serialCap <= 0 {
-		serialCap = 192
-	}
-	var rows []FaultBenchRow
-	for _, d := range cfg.catalog() {
-		golden, err := Mapped(d)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := sim.Compile(golden)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
-		}
-		u := faults.Universe(golden)
-		scfg := faults.ScanConfig{Patterns: patterns, Cycles: cycles, Seed: cfg.Seed}
-
-		// Parallel: the whole universe, warmed once.
-		if _, err := faults.Scan(prog, u[:min(len(u), 64)], scfg); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		results, err := faults.Scan(prog, u, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", d.Name, err)
-		}
-		parWall := time.Since(start)
-
-		// Serial: a stride sample of the same universe through the legacy
-		// clone + mutate + recompile + packed-replay path.
-		sample := strideSample(u, serialCap)
-		start = time.Now()
-		if err := serialPackedScan(prog, sample, patterns, cycles, cfg.Seed); err != nil {
-			return nil, fmt.Errorf("experiments: %s serial: %w", d.Name, err)
-		}
-		serWall := time.Since(start)
-
-		row := FaultBenchRow{
-			Design: d.Name, Faults: len(u), Batches: (len(u) + 63) / 64,
-			Patterns: patterns, Cycles: cycles, SerialSampled: len(sample),
-		}
-		for _, r := range results {
-			if r.Detected {
-				row.DetectedParallel++
-			}
-		}
-		if s := parWall.Seconds(); s > 0 {
-			row.ParallelFaultsPerSec = float64(len(u)) / s
-		}
-		if s := serWall.Seconds(); s > 0 {
-			row.SerialFaultsPerSec = float64(len(sample)) / s
-		}
-		if row.SerialFaultsPerSec > 0 {
-			row.Speedup = row.ParallelFaultsPerSec / row.SerialFaultsPerSec
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// strideSample picks up to n evenly spaced faults, always including the
-// first, so every kind and region of the universe is represented.
-func strideSample(u []faults.Fault, n int) []faults.Fault {
-	if len(u) <= n {
-		return u
-	}
-	stride := len(u) / n
-	out := make([]faults.Fault, 0, n)
-	for i := 0; i < len(u) && len(out) < n; i += stride {
-		out = append(out, u[i])
-	}
-	return out
-}
-
-// serialPackedScan is the legacy per-fault campaign shape: for every
-// fault, clone the golden netlist, mutate it, recompile, and replay the
-// same test patterns packed 64 per word (patterns/64 words held cycles
-// cycles — the pattern-parallel idiom sim.Equivalent uses). Stuck-ats on
-// source nets run as overrides on a fork, mirroring faults.SerialScan.
-func serialPackedScan(prog *sim.Machine, fs []faults.Fault, patterns, cycles int, seed int64) error {
-	golden := prog.Netlist()
-	words := (patterns + 63) / 64
-	stim := testgen.Repeat(testgen.RandomBlocks(len(prog.PIOrder()), words, seed), cycles)
-	gt := prog.Fork().RunTrace(stim)
-	sink := 0
-	for _, f := range fs {
-		mutant := golden.Clone()
-		applied, err := f.Apply(mutant)
-		if err != nil {
-			return err
-		}
-		var tr *sim.Trace
-		if applied {
-			m2, err := sim.Compile(mutant)
-			if err != nil {
-				return err
-			}
-			tr = m2.RunTrace(stim)
-		} else {
-			m2 := prog.Fork()
-			w := uint64(0)
-			if f.Kind == faults.StuckAt1 {
-				w = ^uint64(0)
-			}
-			if err := m2.SetOverride(f.Net, w); err != nil {
-				return err
-			}
-			tr = m2.RunTrace(stim)
-		}
-		for c := 0; c < tr.Cycles; c++ {
-			for po := 0; po < tr.NumPOs; po++ {
-				if tr.Out(c, po) != gt.Out(c, po) {
-					sink++
-				}
-			}
-		}
-	}
-	benchSink = sink // defeat dead-code elimination
-	return nil
-}
-
-// benchSink absorbs comparison results so the serial loop is not
-// optimized away.
-var benchSink int
-
-// FormatFaultBench renders the throughput comparison.
-func FormatFaultBench(rows []FaultBenchRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Fault-scan throughput: 64-lane fault-parallel vs serial clone+recompile")
-	fmt.Fprintf(&b, "%-11s %8s %8s %10s %14s %14s %9s\n",
-		"design", "faults", "batches", "serial(n)", "serial f/s", "parallel f/s", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s %8d %8d %10d %14.0f %14.0f %8.1fx\n",
-			r.Design, r.Faults, r.Batches, r.SerialSampled,
-			r.SerialFaultsPerSec, r.ParallelFaultsPerSec, r.Speedup)
 	}
 	return b.String()
 }

@@ -29,7 +29,7 @@
 // detection outcome and PO-mismatch signature. SerialScan computes the
 // same results one mutated netlist at a time; it is the differential
 // oracle for Scan and the baseline the fault-parallel speedup is
-// measured against (cmd/benchrepro -json-faults). The signatures feed
+// measured against (TestScanFasterThanSerial). The signatures feed
 // the fault dictionary that internal/debug uses to localize errors
 // without inserting physical probes (see DESIGN.md §9).
 package faults

@@ -8,7 +8,8 @@ import (
 
 // Pipeline stage names. Every span opened by the debug loop uses one of
 // these, so per-stage histograms ("stage.<name>") and StageTrace rows
-// line up across campaigns, the /metrics endpoint and BENCH_stages.json.
+// line up across campaigns, the /metrics endpoint and the benchmark's
+// per-layer rows.
 const (
 	StageQueue           = "queue"
 	StageRecover         = "recover"

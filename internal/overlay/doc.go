@@ -29,6 +29,6 @@
 // The debug loop keeps the MISR-insertion CAD path as a fallback for
 // nets outside overlay reach and as a differential oracle: overlay-
 // observed value streams must be bit-identical to the streams the
-// physical MISR path observes (internal/experiments.OverlayBench pins
-// this across the catalog).
+// physical MISR path observes (internal/debug
+// TestOverlayStreamsMatchCADPath pins this on catalog designs).
 package overlay

@@ -31,6 +31,6 @@
 // tile-local ECO path in internal/debug. SerialValidate replays the same
 // candidates one clone+recompile at a time and is both the differential
 // oracle (surviving sets must be identical) and the baseline the
-// lane-parallel speedup is measured against (benchrepro -json-repair,
-// BENCH_repair.json). See DESIGN.md §10.
+// lane-parallel speedup is measured against
+// (internal/debug TestRepairCampaignMeetsBars). See DESIGN.md §10.
 package repair

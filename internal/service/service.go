@@ -502,8 +502,7 @@ type Config struct {
 	// NoTelemetry disables the metrics registry and per-campaign stage
 	// traces entirely: Result.Trace stays nil, /metrics reports service
 	// counters only, and the pipelines pay one nil test per stage. The
-	// overhead benchmark (experiments.TelemetryBench) uses it as the
-	// control arm.
+	// benchmark's untraced throughput runs use it.
 	NoTelemetry bool
 	// DefaultOverlay turns Spec.Overlay on for every submitted campaign
 	// that builds a layout (faultscan campaigns are left alone — they

@@ -309,6 +309,9 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 			t.Fatalf("campaign %s (%s) digest %s != serial reference %s",
 				sb.id, sb.key, res.Digest, ref[sb.key])
 		}
+		if !res.Clean {
+			t.Fatalf("campaign %s (%s) did not converge to a clean design", sb.id, sb.key)
+		}
 	}
 	st := svc.Stats()
 	if st.Done != int64(len(subs)) || st.Failed != 0 {
