@@ -27,10 +27,21 @@ var pinnedDigests = map[string]string{
 	"c499/repair/f2/ov=false":    "271407e464d8b48d",
 	"c499/debug/f4/ov=true":      "6af253355fef6ecf",
 	"c499/faultscan/f0/ov=false": "0768b4e25d45a9f8",
+
+	// Windowed-SEU and interconnect faultscans, recorded before their
+	// scans moved onto the excitation pre-filter and the detection-only
+	// two-phase scan.
+	"9sym/faultscan/f0/ov=false/seu":          "07feb80983f22785",
+	"9sym/faultscan/f0/ov=false/interconnect": "3e0c11ccba432c2e",
+	"c880/faultscan/f0/ov=false/seu":          "973484d308ec97e1",
+	"c880/faultscan/f0/ov=false/interconnect": "4c944e9fb76dab48",
+	"c499/faultscan/f0/ov=false/seu":          "a8ebd8f559e2eda3",
+	"c499/faultscan/f0/ov=false/interconnect": "2c2d4c776d6f9a7c",
 }
 
 // pinSpecs covers every layout-building campaign kind (debug with CAD
-// probe rounds, repair, overlay) plus a layout-free faultscan on three
+// probe rounds, repair, overlay) plus layout-free faultscans (the default
+// single-fault universe, windowed SEUs and interconnect faults) on three
 // catalog designs.
 func pinSpecs() []Spec {
 	var specs []Spec
@@ -46,18 +57,26 @@ func pinSpecs() []Spec {
 		ov := base
 		ov.Kind, ov.FaultSeed, ov.Overlay = KindDebug, 4, true
 		fs := Spec{Design: d, Kind: KindFaultScan, Seed: 1, Patterns: 64, Cycles: 2}
-		specs = append(specs, dbg, rep, ov, fs)
+		seu := fs
+		seu.FaultModel = FaultModelSEU
+		ic := fs
+		ic.FaultModel = FaultModelInterconnect
+		specs = append(specs, dbg, rep, ov, fs, seu, ic)
 	}
 	return specs
 }
 
 func pinName(sp Spec) string {
-	return fmt.Sprintf("%s/%s/f%d/ov=%v", sp.Design, sp.Kind, sp.FaultSeed, sp.Overlay)
+	name := fmt.Sprintf("%s/%s/f%d/ov=%v", sp.Design, sp.Kind, sp.FaultSeed, sp.Overlay)
+	if sp.FaultModel != "" {
+		name += "/" + sp.FaultModel
+	}
+	return name
 }
 
 func TestCampaignDigestsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twelve campaigns on three designs")
+		t.Skip("eighteen campaigns on three designs")
 	}
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
