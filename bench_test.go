@@ -236,6 +236,28 @@ func BenchmarkFaultScan(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultScanDetect is BenchmarkFaultScan through the
+// detection-only entry the campaign service's faultscans use
+// (faults.Detect): the same universe and stimulus, but only each fault's
+// verdict and first failing cycle, in two phases that stop replaying
+// faults once they are detected.
+func BenchmarkFaultScanDetect(b *testing.B) {
+	for _, name := range simBenchSet() {
+		b.Run(name, func(b *testing.B) {
+			prog, u := faultScanSetup(b, name)
+			scfg := faults.ScanConfig{Patterns: faultScanPatterns, Cycles: faultScanCycles, Seed: 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := faults.Detect(prog, u, scfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(len(u))*float64(b.N)/b.Elapsed().Seconds(), "faults/sec")
+		})
+	}
+}
+
 // BenchmarkFaultScanSerial is the serial per-fault baseline for the same
 // workload: every fault is a netlist clone + mutation + recompile + full
 // replay of the identical broadcast stimulus (faults.SerialScan, the

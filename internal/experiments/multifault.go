@@ -126,11 +126,11 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs int) ([]MultiFaul
 			f.From, f.To = 0, 0
 			perm[i] = f
 		}
-		wres, err := faults.Scan(prog, wu, scfg)
+		wres, err := faults.Detect(prog, wu, scfg)
 		if err != nil {
 			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
-		pres, err := faults.Scan(prog, perm, scfg)
+		pres, err := faults.Detect(prog, perm, scfg)
 		if err != nil {
 			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}
@@ -166,7 +166,7 @@ func MultiFaultCampaign(cfg Config, patterns, cycles, maxPairs int) ([]MultiFaul
 				row.RouteFaults++
 			}
 		}
-		ires, err := faults.Scan(prog, iu, scfg)
+		ires, err := faults.Detect(prog, iu, scfg)
 		if err != nil {
 			return MultiFaultRow{}, fmt.Errorf("experiments: %s: %w", d.Name, err)
 		}

@@ -32,4 +32,21 @@
 // measured against (TestScanFasterThanSerial). The signatures feed
 // the fault dictionary that internal/debug uses to localize errors
 // without inserting physical probes (see DESIGN.md §9).
+//
+// # Exact fault dropping
+//
+// Scan, ScanStim and Detect summarize their golden replay once
+// (sim.Machine.TraceActivity) and give every fault the run never
+// excites (sim.Activity.Excites) its outcome without a lane. A single
+// fault changes nothing until its perturbation first fires, so a fault
+// that never fires yields a mutant equal to the golden machine on every
+// cycle: exactly the undetected zero syndrome. Detect is the entry for
+// callers that read only Detected and FirstCycle. It replays every
+// excited fault for a short first window, then repacks the faults still
+// undetected and replays them from cycle 0 over the whole stimulus. A
+// fault undetected inside the window has not diverged yet, so its first
+// divergence is the one a single long replay finds. Progress reported to
+// OnBatch stays in units of the input's lane batches. The serial oracles
+// never filter; TestPrefilterSoundAcrossCatalog holds the pre-filter to
+// them and TestDetectMatchesScanAcrossCatalog holds Detect to Scan.
 package faults

@@ -161,14 +161,16 @@ func (s *Signer) Result(f Fault) ScanResult {
 // broadcast stimulus once, and reads each lane's divergence from the
 // golden trace. No netlist is cloned and nothing is recompiled — per
 // batch the only work beyond the trace replay is arming the lane faults.
-// Results are in input order.
+// Faults the golden run never excites (sim.Activity.Excites) take no
+// lane: their outcome is exactly the undetected zero syndrome. Results
+// are in input order.
 func Scan(prog *sim.Machine, fs []Fault, cfg ScanConfig) ([]ScanResult, error) {
 	cfg = cfg.withDefaults()
-	sp := cfg.Obs.Start(obs.StageFaultScan)
+	sp := scanSpan(cfg, fs, prog.Lanes())
 	defer sp.End()
-	sp.Add("faults", int64(len(fs)))
-	sp.Add("fault-batches", int64(len(BatchesN(fs, prog.Lanes()))))
-	return ScanStim(prog, fs, cfg.Stimulus(len(prog.PIOrder())), cfg.OnBatch)
+	out, st, err := scanStim(prog, fs, cfg.Stimulus(len(prog.PIOrder())), cfg.OnBatch)
+	st.addTo(sp)
+	return out, err
 }
 
 // ScanStim is Scan over an explicit broadcast stimulus sequence (every
@@ -176,36 +178,277 @@ func Scan(prog *sim.Machine, fs []Fault, cfg ScanConfig) ([]ScanResult, error) {
 // stimulus from elsewhere, e.g. the fault dictionary transposing a
 // detection sequence (testgen.TransposeToScalar).
 func ScanStim(prog *sim.Machine, fs []Fault, stim [][]uint64, onBatch func(done, total int) error) ([]ScanResult, error) {
-	gt := prog.Fork().RunTrace(stim)
+	out, _, err := scanStim(prog, fs, stim, onBatch)
+	return out, err
+}
+
+func scanStim(prog *sim.Machine, fs []Fault, stim [][]uint64, onBatch func(done, total int) error) ([]ScanResult, scanStats, error) {
 	mu := prog.Fork()
-	batches := BatchesN(fs, prog.Lanes())
-	out := make([]ScanResult, 0, len(fs))
+	gt, live, err := goldenRun(prog, mu, fs, stim)
+	if err != nil {
+		return nil, scanStats{}, err
+	}
+	st := scanStats{unexcited: len(fs) - len(live)}
+	out := make([]ScanResult, len(fs))
+	for i, f := range fs {
+		out[i] = ScanResult{Fault: f, Syndrome: Syndrome{FirstCycle: -1}}
+	}
+	pr := newProgress(onBatch, len(fs), prog.Lanes(), st.unexcited)
 	var tr sim.Trace
 	signers := make([]Signer, prog.Lanes())
-	for bi, batch := range batches {
-		mu.ClearLaneFaults()
-		for lane, f := range batch {
-			lf, err := f.Lane()
-			if err != nil {
-				return nil, err
-			}
-			if err := mu.SetLaneFault(lane, lf); err != nil {
-				return nil, fmt.Errorf("faults: arming %s: %w", f.Describe(prog.Netlist()), err)
-			}
+	for _, batch := range batchesOf(live, prog.Lanes()) {
+		if err := arm(mu, fs, batch); err != nil {
+			return nil, st, err
+		}
+		for lane := range batch {
 			signers[lane].Reset()
 		}
 		mu.RunTraceInto(&tr, stim)
+		st.replayed++
 		diffTraceInto(signers, batch, &tr, gt)
-		for lane, f := range batch {
-			out = append(out, signers[lane].Result(f))
+		for lane, i := range batch {
+			out[i].Syndrome = signers[lane].Syndrome()
 		}
-		if onBatch != nil {
-			if err := onBatch(bi+1, len(batches)); err != nil {
-				return nil, err
+		if err := pr.settle(len(batch)); err != nil {
+			return nil, st, err
+		}
+	}
+	if err := pr.finish(); err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
+// Detection is one fault's verdict under a stimulus: the Detected and
+// FirstCycle of its Syndrome, without the rest.
+type Detection struct {
+	Fault      Fault
+	Detected   bool
+	FirstCycle int // first diverging cycle, -1 when undetected
+	// Unexcited marks a fault the golden run never excites: its verdict,
+	// undetected, needed no simulation.
+	Unexcited bool
+}
+
+// detectWindow is the length in cycles of Detect's first phase, chosen
+// by measurement. Over the faultscan benchmark's eight single-fault
+// specs (128 patterns × 2 cycles) at three seeds each, two phases with
+// windows of 16, 32, 48 and 64 cycles replay 0.58, 0.54, 0.55 and 0.57
+// of the batch-steps an unfiltered one-phase scan needs; the pre-filter
+// alone, 0.84.
+const detectWindow = 32
+
+// Detect computes each fault's detection verdict — Detected and
+// FirstCycle exactly as Scan reports them — for callers that read
+// nothing else, in two phases sharing one golden replay and one
+// activity pre-filter. Phase 1 replays every excited fault for the first
+// detectWindow cycles; phase 2 repacks the faults phase 1 left
+// undetected into fresh batches and replays them from cycle 0 over the
+// whole stimulus. A fault undetected inside the window has no divergence
+// before it, so its replay from cycle 0 in a new lane finds the same
+// first divergence one long replay would. Windowed faults armed only
+// after the window skip phase 1, which cannot detect them. A stimulus of
+// at most 2·detectWindow cycles runs in one phase.
+func Detect(prog *sim.Machine, fs []Fault, cfg ScanConfig) ([]Detection, error) {
+	cfg = cfg.withDefaults()
+	sp := scanSpan(cfg, fs, prog.Lanes())
+	defer sp.End()
+	out, st, err := detectStim(prog, fs, cfg.Stimulus(len(prog.PIOrder())), cfg.OnBatch)
+	st.addTo(sp)
+	return out, err
+}
+
+func detectStim(prog *sim.Machine, fs []Fault, stim [][]uint64, onBatch func(done, total int) error) ([]Detection, scanStats, error) {
+	mu := prog.Fork()
+	gt, live, err := goldenRun(prog, mu, fs, stim)
+	if err != nil {
+		return nil, scanStats{}, err
+	}
+	st := scanStats{unexcited: len(fs) - len(live)}
+	out := make([]Detection, len(fs))
+	for i, f := range fs {
+		out[i] = Detection{Fault: f, FirstCycle: -1, Unexcited: true}
+	}
+	for _, i := range live {
+		out[i].Unexcited = false
+	}
+	pr := newProgress(onBatch, len(fs), prog.Lanes(), st.unexcited)
+
+	phases := []int{len(stim)}
+	if len(stim) > 2*detectWindow {
+		phases = []int{detectWindow, len(stim)}
+	}
+	var tr sim.Trace
+	first := make([]int, prog.Lanes())
+	pending, from := live, 0
+	for _, cycles := range phases {
+		var next []int
+		if cycles < len(stim) {
+			// Faults armed only after the window cannot diverge inside it.
+			var run []int
+			for _, i := range pending {
+				if fs[i].Windowed() && int(fs[i].From) >= cycles {
+					next = append(next, i)
+				} else {
+					run = append(run, i)
+				}
+			}
+			pending = run
+		}
+		for _, batch := range batchesOf(pending, prog.Lanes()) {
+			if err := arm(mu, fs, batch); err != nil {
+				return nil, st, err
+			}
+			mu.RunTraceInto(&tr, stim[:cycles])
+			st.replayed++
+			firstDivergence(first[:len(batch)], &tr, gt, from)
+			settled := 0
+			for lane, i := range batch {
+				switch {
+				case first[lane] >= 0:
+					out[i].Detected, out[i].FirstCycle = true, first[lane]
+					settled++
+				case cycles < len(stim):
+					next = append(next, i)
+				default:
+					settled++
+				}
+			}
+			if err := pr.settle(settled); err != nil {
+				return nil, st, err
+			}
+		}
+		pending, from = next, cycles
+	}
+	if err := pr.finish(); err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
+}
+
+// goldenRun replays stim on a golden fork of prog, summarizing its
+// activity, and returns the golden trace with the indices of the faults
+// the run excites — the only ones that need a lane. Every fault it drops
+// is still armed once on mu, so a fault the lane engine rejects fails
+// here just as it would in a batch.
+func goldenRun(prog, mu *sim.Machine, fs []Fault, stim [][]uint64) (*sim.Trace, []int, error) {
+	gt := new(sim.Trace)
+	act, err := prog.Fork().TraceActivity(gt, stim)
+	if err != nil {
+		return nil, nil, fmt.Errorf("faults: %w", err)
+	}
+	live := make([]int, 0, len(fs))
+	for i, f := range fs {
+		lf, err := f.Lane()
+		if err != nil {
+			return nil, nil, err
+		}
+		if act.Excites(lf) {
+			live = append(live, i)
+		} else if err := mu.SetLaneFault(0, lf); err != nil {
+			return nil, nil, fmt.Errorf("faults: arming %s: %w", f.Describe(prog.Netlist()), err)
+		}
+	}
+	mu.ClearLaneFaults()
+	return gt, live, nil
+}
+
+// arm clears mu's lane faults and arms fs[batch[l]] on lane l.
+func arm(mu *sim.Machine, fs []Fault, batch []int) error {
+	mu.ClearLaneFaults()
+	for lane, i := range batch {
+		lf, err := fs[i].Lane()
+		if err != nil {
+			return err
+		}
+		if err := mu.SetLaneFault(lane, lf); err != nil {
+			return fmt.Errorf("faults: arming %s: %w", fs[i].Describe(mu.Netlist()), err)
+		}
+	}
+	return nil
+}
+
+// scanStats counts what the activity pre-filter saved one Scan or
+// Detect call.
+type scanStats struct {
+	unexcited int // faults given their verdict without a lane
+	replayed  int // lane batches replayed, over all phases
+}
+
+// scanSpan opens the "faultscan" span of one Scan or Detect call; its
+// fault and batch counters count the input universe.
+func scanSpan(cfg ScanConfig, fs []Fault, lanes int) *obs.Span {
+	sp := cfg.Obs.Start(obs.StageFaultScan)
+	sp.Add("faults", int64(len(fs)))
+	sp.Add("fault-batches", int64(len(BatchesN(fs, lanes))))
+	return sp
+}
+
+func (st scanStats) addTo(sp *obs.Span) {
+	sp.Add("unexcited", int64(st.unexcited))
+	sp.Add("replayed-batches", int64(st.replayed))
+}
+
+// progress reports a scan to its OnBatch callback in units of the
+// input's lane batches — len(BatchesN(fs, lanes)) in all — however few
+// batches are actually replayed: done is total scaled by the share of
+// faults whose verdict is final, so it never falls and reaches total with
+// the last report. It reports after every replayed batch, so a callback
+// that cancels is still consulted between replays, and once at the end
+// when nothing was replayed.
+type progress struct {
+	onBatch       func(done, total int) error
+	faults, total int
+	final         int
+	reported      bool
+}
+
+func newProgress(onBatch func(done, total int) error, faults, lanes, final int) *progress {
+	return &progress{onBatch: onBatch, faults: faults, total: (faults + lanes - 1) / lanes, final: final}
+}
+
+// settle records n more final verdicts and reports.
+func (p *progress) settle(n int) error {
+	p.final += n
+	if p.onBatch == nil {
+		return nil
+	}
+	p.reported = true
+	return p.onBatch(p.total*p.final/p.faults, p.total)
+}
+
+// finish reports completion if no replayed batch did.
+func (p *progress) finish() error {
+	if p.reported || p.faults == 0 {
+		return nil
+	}
+	return p.settle(0)
+}
+
+// firstDivergence sets first[l] to the first cycle at or after from at
+// which lane l's primary outputs in tr diverge from the golden stream,
+// or -1; lanes past len(first) are ignored. Like diffTraceInto it reads
+// word 0 of the broadcast golden trace for every lane word.
+func firstDivergence(first []int, tr, gt *sim.Trace, from int) {
+	var pend [sim.MaxWidth]uint64
+	for l := range first {
+		first[l] = -1
+		pend[l/64] |= 1 << uint(l%64)
+	}
+	left := len(first)
+	for c := from; c < tr.Cycles && left > 0; c++ {
+		for po := 0; po < tr.NumPOs; po++ {
+			g := gt.Out(c, po)
+			for w := 0; w < tr.Width; w++ {
+				d := (tr.OutW(c, po, w) ^ g) & pend[w]
+				pend[w] &^= d
+				for ; d != 0; d &= d - 1 {
+					first[w*64+bits.TrailingZeros64(d)] = c
+					left--
+				}
 			}
 		}
 	}
-	return out, nil
 }
 
 // diffTraceInto notes every diverging (cycle, PO) observation of the

@@ -22,7 +22,8 @@ import (
 	"fpgadbg/internal/faults"
 )
 
-// faultScanEventEvery throttles per-batch progress events.
+// faultScanEventEvery throttles per-batch progress events: one each time
+// progress crosses a multiple of it.
 const faultScanEventEvery = 32
 
 // seuMaxFaults bounds the windowed-SEU sample per campaign: each sampled
@@ -34,27 +35,36 @@ const seuMaxFaults = 512
 // cancellation and throttled progress events threaded through.
 func (s *Service) scanConfig(ctx context.Context, c *campaign, stage string) faults.ScanConfig {
 	spec := c.spec
+	last := 0
 	return faults.ScanConfig{
 		Patterns: spec.Patterns,
 		Cycles:   spec.Cycles,
 		Seed:     spec.Seed,
 		Obs:      c.trace,
+		// done counts the universe's batches: it can repeat or skip
+		// ahead, since faults the golden run never excites, and faults
+		// settled early, need no batch of their own.
 		OnBatch: func(done, total int) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if done%faultScanEventEvery == 0 && done < total {
+			if done/faultScanEventEvery > last/faultScanEventEvery && done < total {
 				c.appendEvent(stage, done, "batch %d/%d scanned", done, total)
 			}
+			last = done
 			return nil
 		},
 	}
 }
 
-// scanTally folds shared per-fault outcome statistics into res.
-func scanTally(res *Result, results []faults.ScanResult, wall time.Duration) {
+// scanTally folds shared per-fault outcome statistics into res and
+// returns how many faults the golden run never excited.
+func scanTally(res *Result, results []faults.Detection, wall time.Duration) (unexcited int) {
 	latSum := 0
 	for _, r := range results {
+		if r.Unexcited {
+			unexcited++
+		}
 		if !r.Detected {
 			continue
 		}
@@ -71,6 +81,7 @@ func scanTally(res *Result, results []faults.ScanResult, wall time.Duration) {
 	if sec := wall.Seconds(); sec > 0 {
 		res.FaultsPerSec = float64(len(results)) / sec
 	}
+	return unexcited
 }
 
 // runFaultScan executes one faultscan campaign against the cached golden
@@ -100,7 +111,7 @@ func (s *Service) runSingleScan(ctx context.Context, c *campaign, ga *goldenArti
 		len(u), batches, lanes, spec.Patterns, spec.Cycles)
 	cfg := s.scanConfig(ctx, c, "faultscan")
 	scanStart := time.Now()
-	results, err := faults.Scan(ga.mach, u, cfg)
+	results, err := faults.Detect(ga.mach, u, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -110,9 +121,9 @@ func (s *Service) runSingleScan(ctx context.Context, c *campaign, ga *goldenArti
 		FaultsTotal:  len(u),
 		FaultBatches: batches,
 	}
-	scanTally(res, results, time.Since(scanStart))
-	c.appendEvent("faultscan", batches, "done: %d/%d detected (%.1f%%), mean latency %.1f cycles, %.0f faults/sec",
-		res.FaultsDetected, len(u), 100*res.FaultCoverage, res.MeanLatencyCycles, res.FaultsPerSec)
+	unexcited := scanTally(res, results, time.Since(scanStart))
+	c.appendEvent("faultscan", batches, "done: %d/%d detected (%.1f%%), %d never excited, mean latency %.1f cycles, %.0f faults/sec",
+		res.FaultsDetected, len(u), 100*res.FaultCoverage, unexcited, res.MeanLatencyCycles, res.FaultsPerSec)
 	return res, nil
 }
 
@@ -230,13 +241,12 @@ func (s *Service) runSEUScan(ctx context.Context, c *campaign, ga *goldenArtifac
 	batches := 2 * ((len(wu) + lanes - 1) / lanes)
 	c.appendEvent("seuscan", 0, "windowed universe: %d faults, %d-cycle windows in a %d-cycle stimulus (plus permanent arms)",
 		len(wu), winLen, cycles)
-	cfg := s.scanConfig(ctx, c, "seuscan")
 	scanStart := time.Now()
-	wres, err := faults.Scan(ga.mach, wu, cfg)
+	wres, err := faults.Detect(ga.mach, wu, s.scanConfig(ctx, c, "seuscan"))
 	if err != nil {
 		return nil, err
 	}
-	pres, err := faults.Scan(ga.mach, perm, cfg)
+	pres, err := faults.Detect(ga.mach, perm, s.scanConfig(ctx, c, "seuscan"))
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +256,7 @@ func (s *Service) runSEUScan(ctx context.Context, c *campaign, ga *goldenArtifac
 		FaultsTotal:  len(wu),
 		FaultBatches: batches,
 	}
-	scanTally(res, wres, time.Since(scanStart))
+	unexcited := scanTally(res, wres, time.Since(scanStart))
 	var lat []float64
 	masked, permDetected := 0, 0
 	for i, r := range wres {
@@ -265,8 +275,8 @@ func (s *Service) runSEUScan(ctx context.Context, c *campaign, ga *goldenArtifac
 		res.MaskedFraction = float64(masked) / float64(permDetected)
 	}
 	c.appendEvent("seuscan", batches,
-		"done: %d/%d windowed upsets detected, latency p50 %.0f / p99 %.0f cycles, %.1f%% masked by the window",
-		res.FaultsDetected, len(wu), res.SEULatencyP50, res.SEULatencyP99, 100*res.MaskedFraction)
+		"done: %d/%d windowed upsets detected, %d never excited, latency p50 %.0f / p99 %.0f cycles, %.1f%% masked by the window",
+		res.FaultsDetected, len(wu), unexcited, res.SEULatencyP50, res.SEULatencyP99, 100*res.MaskedFraction)
 	return res, nil
 }
 
@@ -305,7 +315,7 @@ func (s *Service) runInterconnectScan(ctx context.Context, c *campaign, ga *gold
 		routes, bridges, batches)
 	cfg := s.scanConfig(ctx, c, "interconnect")
 	scanStart := time.Now()
-	results, err := faults.Scan(ga.mach, iu, cfg)
+	results, err := faults.Detect(ga.mach, iu, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -317,8 +327,8 @@ func (s *Service) runInterconnectScan(ctx context.Context, c *campaign, ga *gold
 		RouteFaults:  routes,
 		BridgeFaults: bridges,
 	}
-	scanTally(res, results, time.Since(scanStart))
-	c.appendEvent("interconnect", batches, "done: %d/%d detected (%.1f%%), mean latency %.1f cycles",
-		res.FaultsDetected, len(iu), 100*res.FaultCoverage, res.MeanLatencyCycles)
+	unexcited := scanTally(res, results, time.Since(scanStart))
+	c.appendEvent("interconnect", batches, "done: %d/%d detected (%.1f%%), %d never excited, mean latency %.1f cycles",
+		res.FaultsDetected, len(iu), 100*res.FaultCoverage, unexcited, res.MeanLatencyCycles)
 	return res, nil
 }

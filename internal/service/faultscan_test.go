@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +171,48 @@ func TestFaultScanConcurrent(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
+}
+
+// TestFaultScanReportsDroppedFaults checks the faultscan's account of
+// the work the excitation pre-filter and the two-phase scan saved: the
+// span counts the universe's batches as before plus the unexcited faults
+// and the batches actually replayed, and the done event names the
+// unexcited count.
+func TestFaultScanReportsDroppedFaults(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	id, err := svc.Submit(Spec{Design: "styr", Kind: KindFaultScan, Patterns: 64, Cycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := svc.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("no stage trace")
+	}
+	ctr := res.Trace.Counters
+	if ctr["fault-batches"] != int64(res.FaultBatches) {
+		t.Fatalf("fault-batches counter %d, result %d", ctr["fault-batches"], res.FaultBatches)
+	}
+	if ctr["unexcited"] <= 0 || ctr["replayed-batches"] <= 0 {
+		t.Fatalf("pre-filter counters missing: %v", ctr)
+	}
+	events, _, unsub, err := svc.Events(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsub()
+	want := fmt.Sprintf("%d never excited", ctr["unexcited"])
+	for _, ev := range events {
+		if strings.HasPrefix(ev.Msg, "done:") && strings.Contains(ev.Msg, want) {
+			return
+		}
+	}
+	t.Fatalf("no done event naming %q in %+v", want, events)
 }
 
 // TestFaultScanCancelWhileRunning cancels a long scan mid-flight; the

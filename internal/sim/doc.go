@@ -31,5 +31,8 @@
 // DESIGN.md §10), so one trace replay evaluates Lanes() mutants or
 // candidate repairs with no netlist clone and no recompilation.
 // CompileWidth widens the machine to W words per net (64·W lanes,
-// W ≤ MaxWidth); Compile is CompileWidth with W = 1.
+// W ≤ MaxWidth); Compile is CompileWidth with W = 1. TraceActivity
+// summarizes a golden run — the values every net carried, the minterms
+// every LUT was presented — so fault scans can skip lane faults the run
+// never excites (Activity.Excites; DESIGN.md §9).
 package sim

@@ -123,6 +123,10 @@ type Machine struct {
 	// window, and cleared with the faults: such a fault makes evaluation
 	// depend on the cycle counter, so trace replays never skip a step.
 	windowed bool
+
+	// stateBits, set only during TraceActivity's golden replay, collects
+	// lane 0 of every flip-flop entering each cycle (see activity.go).
+	stateBits []uint64
 }
 
 // Compile levelizes the netlist and lowers it into a ready-to-run machine

@@ -230,6 +230,9 @@ func (m *Machine) ResumeTraceInto(tr *Trace, stimulus [][]uint64) *Trace {
 	settled := false
 	var prev []uint64
 	for c, row := range stimulus {
+		if m.stateBits != nil {
+			m.noteStateBits(c)
+		}
 		// A quiescent step reuses the value plane as it stands.
 		if !settled || !sameRow(row, prev) {
 			if len(row) > B {
@@ -283,6 +286,9 @@ func (m *Machine) resumeTrace1(tr *Trace, stimulus [][]uint64) {
 	settled := false
 	var prev []uint64
 	for c, row := range stimulus {
+		if m.stateBits != nil {
+			m.noteStateBits(c)
+		}
 		// A quiescent step reuses the value plane as it stands.
 		if !settled || !sameRow(row, prev) {
 			k := len(row)
