@@ -151,7 +151,7 @@ func TestDetectMatchesScanAcrossCatalog(t *testing.T) {
 	if long.Patterns*long.Cycles <= 2*detectWindow || short.Patterns*short.Cycles > 2*detectWindow {
 		t.Fatalf("stimuli do not straddle the one-phase bound %d", 2*detectWindow)
 	}
-	limit := 2048
+	limit := 1024
 	if testing.Short() {
 		limit = 384
 	}
