@@ -37,6 +37,19 @@ var pinnedDigests = map[string]string{
 	"c880/faultscan/f0/ov=false/interconnect": "4c944e9fb76dab48",
 	"c499/faultscan/f0/ov=false/seu":          "a8ebd8f559e2eda3",
 	"c499/faultscan/f0/ov=false/interconnect": "2c2d4c776d6f9a7c",
+
+	// Repair campaigns the candidate search wins (bit-flip, pin-swap,
+	// resynth, pin-swap), recorded before the repair kind moved onto the
+	// debug loop. 9sym f7 and c499 f4 differ by lane width: the batch
+	// count enters the digest.
+	"9sym/repair/f1/ov=false/l64":  "e102188058e52c76",
+	"9sym/repair/f1/ov=false/l256": "e102188058e52c76",
+	"9sym/repair/f4/ov=false/l64":  "4ea93aabfb592b42",
+	"9sym/repair/f4/ov=false/l256": "4ea93aabfb592b42",
+	"9sym/repair/f7/ov=false/l64":  "e9617bcffd908ea1",
+	"9sym/repair/f7/ov=false/l256": "fc5cdf6ebd2e27e8",
+	"c499/repair/f4/ov=false/l64":  "d8545d3244fa07ef",
+	"c499/repair/f4/ov=false/l256": "90afb3163474124a",
 }
 
 // pinSpecs covers every layout-building campaign kind (debug with CAD
@@ -62,8 +75,23 @@ func pinSpecs() []Spec {
 		ic := fs
 		ic.FaultModel = FaultModelInterconnect
 		specs = append(specs, dbg, rep, ov, fs, seu, ic)
+		for _, f := range searchWonRepairs[d] {
+			for _, lanes := range []int{64, 256} {
+				sr := base
+				sr.Kind, sr.FaultSeed, sr.SimLanes = KindRepair, f, lanes
+				specs = append(specs, sr)
+			}
+		}
 	}
 	return specs
+}
+
+// searchWonRepairs are the fault seeds whose repair campaigns the
+// candidate search wins (bit-flip, pin-swap, resynth) rather than the
+// golden-copy fallback; each is pinned at 64 and 256 lanes.
+var searchWonRepairs = map[string][]int64{
+	"9sym": {1, 4, 7},
+	"c499": {4},
 }
 
 func pinName(sp Spec) string {
@@ -71,12 +99,15 @@ func pinName(sp Spec) string {
 	if sp.FaultModel != "" {
 		name += "/" + sp.FaultModel
 	}
+	if sp.SimLanes != 0 {
+		name += fmt.Sprintf("/l%d", sp.SimLanes)
+	}
 	return name
 }
 
 func TestCampaignDigestsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eighteen campaigns on three designs")
+		t.Skip("twenty-six campaigns on three designs")
 	}
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
