@@ -31,6 +31,7 @@ func TestLocalRunValidatesSpec(t *testing.T) {
 		{[]string{"-design", "9sym", "-kind", "fixit"}, "kind"},
 		{[]string{"-design", "9sym", "-fault-model", "pair"}, "fault model"},
 		{[]string{"-design", "9sym", "-kind", "faultscan", "-overlay"}, "overlay"},
+		{[]string{"-design", "9sym", "-words", "1152921504606846976"}, "words"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "FPGADBG_RUN_MAIN=1")

@@ -256,6 +256,7 @@ func (co *Coordinator) Stats() service.Stats {
 		agg.SpillHits += st.SpillHits
 		agg.SpillMisses += st.SpillMisses
 		agg.JournalErrors += st.JournalErrors
+		agg.CampaignPanics += st.CampaignPanics
 	}
 	if len(byKind) > 0 {
 		agg.ByKind = byKind

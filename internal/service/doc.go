@@ -12,18 +12,26 @@
 // they happen. Campaigns are cancellable at every stage through contexts
 // threaded into internal/debug and the fault scanner's batch callback.
 //
-// Two campaign kinds share the queue and cache (Spec.Kind):
+// Three campaign kinds share the queue and cache (Spec.Kind):
 //
 //   - KindDebug runs the full detect → localize → correct loop against an
 //     injected design error; with Spec.UseDict it consults a cached fault
 //     dictionary (debug.BuildFaultDict) and skips probe insertion for
 //     errors the dictionary names from the PO-mismatch signature alone.
+//   - KindRepair is the same loop capped at one iteration, with the
+//     dictionary always attached.
 //   - KindFaultScan fault-simulates the design's exhaustive single-fault
 //     universe — stuck-at-0/1 per net, single LUT-bit flips per cell — on
-//     the lane-parallel mutant engine (internal/faults.Scan) and reports
+//     the lane-parallel mutant engine (internal/faults.Detect) and reports
 //     detection coverage and latency. It needs no layout and no
 //     injection, so a warm scan costs one trace replay per 64·W faults
 //     (Spec.SimLanes picks the lane-vector width W).
+//
+// Every campaign runs one pipeline of plain stage functions
+// (pipeline.go): golden → inject → lease → baseline → session → loop,
+// with faultscan branching off after golden. A panic in any stage fails
+// that campaign alone, and Spec.Validate bounds every size a request can
+// ask for.
 //
 // The same typed API (Submit / Status / Events / Wait / Cancel) is served
 // in-process (the load generator in internal/experiments) and over

@@ -13,7 +13,6 @@ package service
 // campaigns, the per-design syndrome dictionary.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -33,14 +32,14 @@ const seuMaxFaults = 512
 
 // scanConfig builds the campaign's fault-scan configuration with
 // cancellation and throttled progress events threaded through.
-func (s *Service) scanConfig(ctx context.Context, c *campaign, stage string) faults.ScanConfig {
-	spec := c.spec
+func (r *run) scanConfig(stage string) faults.ScanConfig {
+	spec, ctx, c := r.spec, r.ctx, r.c
 	last := 0
 	return faults.ScanConfig{
 		Patterns: spec.Patterns,
 		Cycles:   spec.Cycles,
 		Seed:     spec.Seed,
-		Obs:      c.trace,
+		Obs:      r.tr,
 		// done counts the universe's batches: it can repeat or skip
 		// ahead, since faults the golden run never excites, and faults
 		// settled early, need no batch of their own.
@@ -57,19 +56,64 @@ func (s *Service) scanConfig(ctx context.Context, c *campaign, stage string) fau
 	}
 }
 
-// scanTally folds shared per-fault outcome statistics into res and
-// returns how many faults the golden run never excited.
-func scanTally(res *Result, results []faults.Detection, wall time.Duration) (unexcited int) {
-	latSum := 0
-	for _, r := range results {
-		if r.Unexcited {
+// faultScan is the faultscan kind's body, run against the cached golden
+// artifact and dispatched on the spec's fault model. Cancellation is
+// honored between lane batches.
+func (r *run) faultScan() error {
+	r.enter("faultscan")
+	r.res.FaultModel = r.spec.FaultModel
+	switch r.spec.FaultModel {
+	case FaultModelPair:
+		return r.pairScan()
+	case FaultModelSEU:
+		return r.seuScan()
+	case FaultModelInterconnect:
+		// Route stuck-ats on every LUT pin plus a seeded bridge sample.
+		iu, err := faults.InterconnectUniverse(r.ga.golden, faults.InterconnectConfig{Seed: r.spec.Seed})
+		if err != nil {
+			return err
+		}
+		for _, f := range iu {
+			if f.Kind == faults.BridgeAND || f.Kind == faults.BridgeOR {
+				r.res.BridgeFaults++
+			} else {
+				r.res.RouteFaults++
+			}
+		}
+		_, err = r.detectScan("interconnect", iu, r.res)
+		return err
+	default:
+		// The classic exhaustive single-fault universe.
+		_, err := r.detectScan("faultscan", faults.Universe(r.ga.golden), r.res)
+		return err
+	}
+}
+
+// detectScan is the one detection-scan body: it scans universe u on the
+// lane engine under stage's progress events, tallies the universe, its
+// batches and the per-fault outcomes into res, and returns the outcomes.
+func (r *run) detectScan(stage string, u []faults.Fault, res *Result) ([]faults.Detection, error) {
+	lanes := r.ga.mach.Lanes()
+	batches := (len(u) + lanes - 1) / lanes
+	r.c.appendEvent(stage, 0, "universe: %d faults in %d batches of %d (%d patterns x %d cycles)",
+		len(u), batches, lanes, r.spec.Patterns, r.spec.Cycles)
+	start := time.Now()
+	results, err := faults.Detect(r.ga.mach, u, r.scanConfig(stage))
+	if err != nil {
+		return nil, err
+	}
+	wall := time.Since(start)
+	res.FaultsTotal = len(u)
+	res.FaultBatches += batches
+	latSum, unexcited := 0, 0
+	for _, d := range results {
+		if d.Unexcited {
 			unexcited++
 		}
-		if !r.Detected {
-			continue
+		if d.Detected {
+			res.FaultsDetected++
+			latSum += d.FirstCycle + 1
 		}
-		res.FaultsDetected++
-		latSum += r.FirstCycle + 1
 	}
 	res.Detected = res.FaultsDetected > 0
 	if len(results) > 0 {
@@ -81,60 +125,19 @@ func scanTally(res *Result, results []faults.Detection, wall time.Duration) (une
 	if sec := wall.Seconds(); sec > 0 {
 		res.FaultsPerSec = float64(len(results)) / sec
 	}
-	return unexcited
-}
-
-// runFaultScan executes one faultscan campaign against the cached golden
-// artifact, dispatching on the spec's fault model. Cancellation is
-// honored between lane batches. count is the campaign's cache-outcome
-// tally (pair campaigns consult the syndrome-dictionary cache).
-func (s *Service) runFaultScan(ctx context.Context, c *campaign, ga *goldenArtifact, count func(bool) string) (*Result, error) {
-	switch c.spec.FaultModel {
-	case FaultModelPair:
-		return s.runPairScan(ctx, c, ga, count)
-	case FaultModelSEU:
-		return s.runSEUScan(ctx, c, ga)
-	case FaultModelInterconnect:
-		return s.runInterconnectScan(ctx, c, ga)
-	default:
-		return s.runSingleScan(ctx, c, ga)
-	}
-}
-
-// runSingleScan is the classic exhaustive single-fault universe scan.
-func (s *Service) runSingleScan(ctx context.Context, c *campaign, ga *goldenArtifact) (*Result, error) {
-	spec := c.spec
-	u := faults.Universe(ga.golden)
-	lanes := ga.mach.Lanes()
-	batches := (len(u) + lanes - 1) / lanes
-	c.appendEvent("faultscan", 0, "universe: %d faults in %d batches of %d (%d patterns x %d cycles)",
-		len(u), batches, lanes, spec.Patterns, spec.Cycles)
-	cfg := s.scanConfig(ctx, c, "faultscan")
-	scanStart := time.Now()
-	results, err := faults.Detect(ga.mach, u, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Design:       spec.Design,
-		FaultModel:   FaultModelSingle,
-		FaultsTotal:  len(u),
-		FaultBatches: batches,
-	}
-	unexcited := scanTally(res, results, time.Since(scanStart))
-	c.appendEvent("faultscan", batches, "done: %d/%d detected (%.1f%%), %d never excited, mean latency %.1f cycles, %.0f faults/sec",
+	r.c.appendEvent(stage, batches, "done: %d/%d detected (%.1f%%), %d never excited, mean latency %.1f cycles, %.0f faults/sec",
 		res.FaultsDetected, len(u), 100*res.FaultCoverage, unexcited, res.MeanLatencyCycles, res.FaultsPerSec)
-	return res, nil
+	return results, nil
 }
 
 // syndromeDict returns the design's syndrome-composition dictionary,
 // built once per (fingerprint, scan stimulus) and cached.
-func (s *Service) syndromeDict(c *campaign, ga *goldenArtifact, count func(bool) string) (*debug.SyndromeDict, error) {
-	spec := c.spec
+func (r *run) syndromeDict() (*debug.SyndromeDict, error) {
+	spec, ga := r.spec, r.ga
 	key := fmt.Sprintf("syndict/%s/p%d-c%d-s%d", ga.fp, spec.Patterns, spec.Cycles, spec.Seed)
-	v, hit, err := s.cache.GetOrBuild(key, func() (any, int64, error) {
+	v, how, err := r.artifact(key, func() (any, int64, error) {
 		d, err := debug.BuildSyndromeDict(ga.mach, nil, faults.ScanConfig{
-			Patterns: spec.Patterns, Cycles: spec.Cycles, Seed: spec.Seed, Obs: c.trace,
+			Patterns: spec.Patterns, Cycles: spec.Cycles, Seed: spec.Seed, Obs: r.tr,
 		})
 		if err != nil {
 			return nil, 0, err
@@ -142,58 +145,53 @@ func (s *Service) syndromeDict(c *campaign, ga *goldenArtifact, count func(bool)
 		return d, d.MemoryFootprint(), nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("syndrome dict %s: %w", spec.Design, err)
+		return nil, err
 	}
 	d := v.(*debug.SyndromeDict)
-	c.appendEvent("dict", 0, "syndrome dictionary: %d/%d singles detectable, %d signatures (%s)",
-		d.Detected, d.Faults, d.Signatures(), count(hit))
+	r.c.appendEvent("dict", 0, "syndrome dictionary: %d/%d singles detectable, %d signatures (%s)",
+		d.Detected, d.Faults, d.Signatures(), how)
 	return d, nil
 }
 
-// runPairScan scans a sampled, suspect-ranked pair universe lane-packed
+// pairScan scans a sampled, suspect-ranked pair universe lane-packed
 // (one pair per lane) and diagnoses every detected composed syndrome
 // through the syndrome-composition dictionary: a diagnosis counts as
 // probe-free when a decoded candidate pair reproduces the exact observed
 // signature in the verification scan.
-func (s *Service) runPairScan(ctx context.Context, c *campaign, ga *goldenArtifact, count func(bool) string) (*Result, error) {
-	spec := c.spec
-	dict, err := s.syndromeDict(c, ga, count)
+func (r *run) pairScan() error {
+	spec, ga, res := r.spec, r.ga, r.res
+	dict, err := r.syndromeDict()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pu := faults.PairUniverse(ga.golden, faults.Universe(ga.golden), faults.PairConfig{
 		Seed: spec.Seed, Singles: dict.Singles(),
 	})
 	lanes := ga.mach.Lanes()
 	batches := (len(pu) + lanes - 1) / lanes
-	c.appendEvent("pairscan", 0, "pair universe: %d sampled pairs in %d batches of %d lanes (one pair per lane)",
+	r.c.appendEvent("pairscan", 0, "pair universe: %d sampled pairs in %d batches of %d lanes (one pair per lane)",
 		len(pu), batches, lanes)
-	cfg := s.scanConfig(ctx, c, "pairscan")
 	scanStart := time.Now()
-	prs, err := faults.PairScan(ga.mach, pu, cfg)
+	prs, err := faults.PairScan(ga.mach, pu, r.scanConfig("pairscan"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	wall := time.Since(scanStart)
-	res := &Result{
-		Design:       spec.Design,
-		FaultModel:   FaultModelPair,
-		FaultsTotal:  2 * len(pu),
-		FaultBatches: batches,
-		PairsTotal:   len(pu),
-	}
+	res.FaultsTotal = 2 * len(pu)
+	res.FaultBatches = batches
+	res.PairsTotal = len(pu)
 	masked := 0
-	for _, r := range prs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for _, p := range prs {
+		if err := r.ctx.Err(); err != nil {
+			return err
 		}
-		if !r.Detected {
+		if !p.Detected {
 			continue
 		}
 		res.PairsDetected++
-		m, err := dict.Diagnose(ga.mach, r.Syndrome)
+		m, err := dict.Diagnose(ga.mach, p.Syndrome)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch {
 		case m.Class == debug.ClassPair && m.Confirmed:
@@ -216,68 +214,57 @@ func (s *Service) runPairScan(ctx context.Context, c *campaign, ga *goldenArtifa
 	if sec := wall.Seconds(); sec > 0 {
 		res.FaultsPerSec = float64(2*len(pu)) / sec
 	}
-	c.appendEvent("pairscan", batches,
+	r.c.appendEvent("pairscan", batches,
 		"done: %d/%d pairs detected, %d diagnosed probe-free (%.1f%%), %d masked to a single",
 		res.PairsDetected, len(pu), res.PairsDiagnosed, 100*res.PairDiagRate, masked)
-	return res, nil
+	return nil
 }
 
-// runSEUScan arms a stride sample of the single-fault universe only for
+// seuScan arms a stride sample of the single-fault universe only for
 // transient cycle windows and scans transient and permanent arms of each
 // site, reporting detection-latency percentiles from the arming edge and
-// the fraction of upsets the window masked.
-func (s *Service) runSEUScan(ctx context.Context, c *campaign, ga *goldenArtifact) (*Result, error) {
-	spec := c.spec
-	u := faults.Universe(ga.golden)
+// the fraction of upsets the window masked. The result counts the
+// windowed faults and the batches of both arms.
+func (r *run) seuScan() error {
+	spec, res := r.spec, r.res
 	cycles := spec.Patterns * spec.Cycles
-	winLen := 2 * spec.Cycles
-	wu := faults.WindowUniverse(u, cycles, winLen, seuMaxFaults, spec.Seed)
+	wu := faults.WindowUniverse(faults.Universe(r.ga.golden), cycles, 2*spec.Cycles, seuMaxFaults, spec.Seed)
 	perm := make([]faults.Fault, len(wu))
 	for i, f := range wu {
 		f.From, f.To = 0, 0
 		perm[i] = f
 	}
-	lanes := ga.mach.Lanes()
-	batches := 2 * ((len(wu) + lanes - 1) / lanes)
-	c.appendEvent("seuscan", 0, "windowed universe: %d faults, %d-cycle windows in a %d-cycle stimulus (plus permanent arms)",
-		len(wu), winLen, cycles)
-	scanStart := time.Now()
-	wres, err := faults.Detect(ga.mach, wu, s.scanConfig(ctx, c, "seuscan"))
+	wres, err := r.detectScan("seuscan", wu, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pres, err := faults.Detect(ga.mach, perm, s.scanConfig(ctx, c, "seuscan"))
+	var permRes Result
+	pres, err := r.detectScan("seuscan", perm, &permRes)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{
-		Design:       spec.Design,
-		FaultModel:   FaultModelSEU,
-		FaultsTotal:  len(wu),
-		FaultBatches: batches,
-	}
-	unexcited := scanTally(res, wres, time.Since(scanStart))
+	res.FaultBatches += permRes.FaultBatches
 	var lat []float64
 	masked, permDetected := 0, 0
-	for i, r := range wres {
+	for i, w := range wres {
 		if pres[i].Detected {
 			permDetected++
-			if !r.Detected {
+			if !w.Detected {
 				masked++
 			}
 		}
-		if r.Detected {
-			lat = append(lat, float64(r.FirstCycle-int(wu[i].From)+1))
+		if w.Detected {
+			lat = append(lat, float64(w.FirstCycle-int(wu[i].From)+1))
 		}
 	}
 	res.SEULatencyP50, res.SEULatencyP99 = percentiles(lat)
 	if permDetected > 0 {
 		res.MaskedFraction = float64(masked) / float64(permDetected)
 	}
-	c.appendEvent("seuscan", batches,
-		"done: %d/%d windowed upsets detected, %d never excited, latency p50 %.0f / p99 %.0f cycles, %.1f%% masked by the window",
-		res.FaultsDetected, len(wu), unexcited, res.SEULatencyP50, res.SEULatencyP99, 100*res.MaskedFraction)
-	return res, nil
+	r.c.appendEvent("seuscan", res.FaultBatches,
+		"%d-cycle upset windows: latency p50 %.0f / p99 %.0f cycles, %.1f%% masked by the window",
+		2*spec.Cycles, res.SEULatencyP50, res.SEULatencyP99, 100*res.MaskedFraction)
+	return nil
 }
 
 // percentiles returns the p50 and p99 of xs (0, 0 when empty).
@@ -291,44 +278,4 @@ func percentiles(xs []float64) (p50, p99 float64) {
 		return xs[i]
 	}
 	return at(0.50), at(0.99)
-}
-
-// runInterconnectScan scans the interconnect fault universe: route
-// stuck-ats on every LUT pin plus a seeded bridge sample.
-func (s *Service) runInterconnectScan(ctx context.Context, c *campaign, ga *goldenArtifact) (*Result, error) {
-	spec := c.spec
-	iu, err := faults.InterconnectUniverse(ga.golden, faults.InterconnectConfig{Seed: spec.Seed})
-	if err != nil {
-		return nil, err
-	}
-	routes, bridges := 0, 0
-	for _, f := range iu {
-		if f.Kind == faults.BridgeAND || f.Kind == faults.BridgeOR {
-			bridges++
-		} else {
-			routes++
-		}
-	}
-	lanes := ga.mach.Lanes()
-	batches := (len(iu) + lanes - 1) / lanes
-	c.appendEvent("interconnect", 0, "interconnect universe: %d route stuck-ats + %d bridges in %d batches",
-		routes, bridges, batches)
-	cfg := s.scanConfig(ctx, c, "interconnect")
-	scanStart := time.Now()
-	results, err := faults.Detect(ga.mach, iu, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Design:       spec.Design,
-		FaultModel:   FaultModelInterconnect,
-		FaultsTotal:  len(iu),
-		FaultBatches: batches,
-		RouteFaults:  routes,
-		BridgeFaults: bridges,
-	}
-	unexcited := scanTally(res, results, time.Since(scanStart))
-	c.appendEvent("interconnect", batches, "done: %d/%d detected (%.1f%%), %d never excited, mean latency %.1f cycles",
-		res.FaultsDetected, len(iu), 100*res.FaultCoverage, unexcited, res.MeanLatencyCycles)
-	return res, nil
 }

@@ -308,3 +308,39 @@ func TestHTTPErrorPathsStayHealthy(t *testing.T) {
 		t.Fatalf("campaign after error gauntlet: %v %+v", err, res)
 	}
 }
+
+// TestHTTPRejectsOverCeilingSpec posts specs past the Spec ceilings. Each
+// must get 400 before it reaches a worker (the words one used to panic
+// the daemon in stimulus generation), and the daemon keeps answering.
+func TestHTTPRejectsOverCeilingSpec(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	for _, body := range []string{
+		`{"design":"9sym","words":1152921504606846976}`,
+		`{"design":"9sym","cycles":1152921504606846976}`,
+		`{"design":"9sym","kind":"faultscan","patterns":1152921504606846976}`,
+		`{"design":"9sym","max_rounds":65}`,
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resp, err := srv.Client().Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after over-ceiling specs: %d", resp.StatusCode)
+	}
+	if n := svc.Stats().Submitted; n != 0 {
+		t.Fatalf("%d over-ceiling specs were queued", n)
+	}
+}

@@ -114,7 +114,8 @@ func parseCampaignSeq(id string) int64 {
 // restore replays the journal: terminal campaigns become queryable
 // records, queued/running campaigns are requeued (with a journaled
 // requeue record and a "resume" queue-wait span replacing the usual
-// "queue" one). Runs before the workers start, so no locking is needed.
+// "queue" one) unless their spec no longer validates, which fails them.
+// Runs before the workers start, so no locking is needed.
 func (s *Service) restore() error {
 	begin := time.Now()
 	rec, err := s.store.Recover()
@@ -144,6 +145,14 @@ func (s *Service) restore() error {
 		s.byKind[spec.Kind]++
 		s.byID[c.id] = c
 		s.order = append(s.order, c.id)
+		if !cs.Terminal() {
+			// A spec that no longer validates would crash or pin a worker
+			// on every restart: fail it instead of requeueing it.
+			if err := spec.Validate(); err != nil {
+				cs.State, cs.Error, cs.FinishUs = "failed", err.Error(), time.Now().UnixMicro()
+				s.journal(store.Record{Kind: store.KindFailed, ID: c.id, Error: cs.Error})
+			}
+		}
 		switch cs.State {
 		case "done":
 			c.state = StateDone

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -405,5 +406,46 @@ func TestJournalErrorDoesNotDeadlockSubmit(t *testing.T) {
 	}
 	if errs := svc.Stats().JournalErrors; errs == 0 {
 		t.Fatal("JournalErrors = 0, want the failed appends counted")
+	}
+}
+
+// TestPersistFailsRequeuedSpecOverCeiling restarts on a journal holding a
+// submitted campaign whose spec no longer validates. Requeueing it would
+// crash every restart; it must come back failed, with the failure
+// journaled, while the daemon serves new work.
+func TestPersistFailsRequeuedSpecOverCeiling(t *testing.T) {
+	mem := store.NewMem()
+	poison := []byte(`{"design":"9sym","kind":"debug","seed":1,"words":1152921504606846976,"cycles":4}`)
+	if _, err := mem.Append(store.Record{Kind: store.KindSubmit, ID: "c000001", Spec: poison}); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Open(Config{Workers: 1, Store: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	st, err := svc.Status("c000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "words") {
+		t.Fatalf("poison spec restored as %s (%q), want failed naming words", st.State, st.Error)
+	}
+	rec, err := mem.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := rec.Campaigns[0]; cs.State != store.KindFailed {
+		t.Fatalf("journaled state %q, want failed", cs.State)
+	}
+	if svc.Stats().Recovered != 0 {
+		t.Fatal("poison spec was requeued")
+	}
+	id, err := svc.Submit(fastSpec("9sym", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
 	}
 }

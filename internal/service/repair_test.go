@@ -53,7 +53,7 @@ func TestRepairCampaign(t *testing.T) {
 		}
 
 		// Determinism + caching: an identical resubmission must match the
-		// digest and hit the candidate-program cache.
+		// digest and hit the layout and baseline the first run built.
 		id2, err := svc.Submit(repairSpec(seed))
 		if err != nil {
 			t.Fatal(err)

@@ -16,14 +16,11 @@ import (
 
 	"fpgadbg/internal/bench"
 	"fpgadbg/internal/core"
-	"fpgadbg/internal/debug"
-	"fpgadbg/internal/faults"
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
 	"fpgadbg/internal/overlay"
 	"fpgadbg/internal/sim"
 	"fpgadbg/internal/store"
-	"fpgadbg/internal/synth"
 )
 
 // Campaign kinds.
@@ -40,12 +37,10 @@ const (
 	FaultModelSEU          = "seu"
 	FaultModelInterconnect = "interconnect"
 
-	// KindRepair runs one detect → dictionary-localize → repair pass with
-	// the lane-parallel repair-candidate search: the golden model serves
-	// only as a behavioural oracle, and the campaign reports the search
-	// statistics (candidates, survivors, batches) alongside the usual
-	// loop fields. The fault dictionary is always attached, and the
-	// compiled candidate program is cached per implementation fingerprint.
+	// KindRepair is the KindDebug loop capped at one iteration, with the
+	// fault dictionary always attached: one detect → localize → repair
+	// pass whose lane-parallel candidate search uses the golden model
+	// only as a behavioural oracle.
 	KindRepair = "repair"
 )
 
@@ -55,8 +50,8 @@ const (
 type Spec struct {
 	// Design is a benchmark catalog name (bench.Catalog).
 	Design string `json:"design"`
-	// Kind selects the campaign pipeline: KindDebug (default) or
-	// KindFaultScan.
+	// Kind selects the campaign pipeline: KindDebug (default),
+	// KindRepair or KindFaultScan.
 	Kind string `json:"kind,omitempty"`
 	// FaultSeed selects the injected design error (debug campaigns).
 	FaultSeed int64 `json:"fault_seed"`
@@ -90,7 +85,7 @@ type Spec struct {
 	// Kind == KindFaultScan.
 	FaultModel string `json:"fault_model,omitempty"`
 	// SimLanes is the simulator lane count for the campaign's
-	// lane-parallel engines — the fault-scan host and the cached repair
+	// lane-parallel engines — the fault-scan host and the repair
 	// candidate program. Must be a multiple of 64 between 64 and
 	// 64·sim.MaxWidth; each replay retires SimLanes faults or repair
 	// candidates at once. Default 64 (the classic single-word engine).
@@ -118,9 +113,7 @@ func (sp Spec) withDefaults() Spec {
 		sp.Kind = KindDebug
 	}
 	if sp.Kind == KindRepair {
-		// The repair pipeline always consults the dictionary first; a hit
-		// keeps the implementation netlist pristine, which is what lets
-		// the cached candidate program be shared.
+		// The repair pass always consults the dictionary first.
 		sp.UseDict = true
 	}
 	if sp.Seed == 0 {
@@ -168,6 +161,15 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
+// Spec ceilings, each at least 16× what any in-repo caller asks for: no
+// real campaign meets one, and no single request can allocate or loop
+// without bound.
+const (
+	maxWordCycles    = 1024 // words × cycles of a detection replay
+	maxPatternCycles = 8192 // patterns × cycles of a faultscan stimulus
+	maxLoopBound     = 64   // max_iters, max_rounds, probes_per_round
+)
+
 // Validate rejects malformed specs before they enter the queue.
 func (sp Spec) Validate() error {
 	if _, err := bench.ByName(sp.Design); err != nil {
@@ -195,8 +197,18 @@ func (sp Spec) Validate() error {
 	if sp.Words < 0 || sp.Cycles < 0 {
 		return fmt.Errorf("service: words and cycles must be positive (got %d, %d)", sp.Words, sp.Cycles)
 	}
+	// Each factor is bounded before the product so it cannot overflow.
+	if sp.Words > maxWordCycles || sp.Cycles > maxWordCycles || sp.Words*sp.Cycles > maxWordCycles {
+		return fmt.Errorf("service: words × cycles must not exceed %d (got %d × %d)", maxWordCycles, sp.Words, sp.Cycles)
+	}
+	if sp.Patterns > maxPatternCycles || sp.Patterns*sp.Cycles > maxPatternCycles {
+		return fmt.Errorf("service: patterns × cycles must not exceed %d (got %d × %d)", maxPatternCycles, sp.Patterns, sp.Cycles)
+	}
 	if sp.MaxIters < 0 || sp.MaxRounds < 0 || sp.ProbesPerRound < 0 {
 		return fmt.Errorf("service: loop bounds must be positive")
+	}
+	if sp.MaxIters > maxLoopBound || sp.MaxRounds > maxLoopBound || sp.ProbesPerRound > maxLoopBound {
+		return fmt.Errorf("service: max_iters, max_rounds and probes_per_round must not exceed %d", maxLoopBound)
 	}
 	if sp.Overhead < 0 || sp.Overhead > 1 || sp.TileFrac < 0 || sp.TileFrac > 1 {
 		return fmt.Errorf("service: overhead and tile_frac must lie in (0,1]")
@@ -566,6 +578,9 @@ type Stats struct {
 	// JournalErrors counts journal or blob writes that failed; nonzero
 	// means durability is degraded and the disk wants looking at.
 	JournalErrors int64 `json:"journal_errors,omitempty"`
+	// CampaignPanics counts campaigns that failed on a recovered panic
+	// (also among Failed).
+	CampaignPanics int64 `json:"campaign_panics"`
 }
 
 // Service is the concurrent campaign server.
@@ -604,6 +619,8 @@ type Service struct {
 	// lock, and a failure path that retook s.mu would deadlock any
 	// caller journaling while holding it.
 	journalErrs atomic.Int64
+	// panics counts campaigns failed on a recovered panic.
+	panics atomic.Int64
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -910,6 +927,8 @@ func (s *Service) Stats() Stats {
 		QueueDepth: queued,
 		RunningAge: age,
 		ByKind:     byKind,
+
+		CampaignPanics: s.panics.Load(),
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
@@ -1074,355 +1093,6 @@ func (s *Service) worker() {
 		s.pruneLocked()
 		s.mu.Unlock()
 	}
-}
-
-// goldenArtifact bundles everything derivable from a design name alone:
-// the mapped golden netlist (shared read-only), its content fingerprint,
-// and the compiled simulator program (forked per campaign).
-type goldenArtifact struct {
-	golden *netlist.Netlist
-	fp     string
-	mach   *sim.Machine
-}
-
-// hitWord renders a cache outcome for event messages without counting it
-// (used when one cached artifact backs several pipeline stages).
-func hitWord(hit bool) string {
-	if hit {
-		return "cache hit"
-	}
-	return "built"
-}
-
-// leaseWord renders a layout-pool checkout outcome.
-func leaseWord(reused bool) string {
-	if reused {
-		return "pooled copy reused, router warm"
-	}
-	return "working copy cloned"
-}
-
-// traceStore adapts the artifact cache — backed, when the service is
-// durable, by the store's spilled trace blobs — to debug.TraceStore. A
-// cache miss consults the blob index before giving up, so a restarted
-// daemon re-serves golden traces it computed in a previous life.
-type traceStore struct{ s *Service }
-
-func (t traceStore) GetTrace(key string) (*sim.Trace, bool) {
-	if v, ok := t.s.cache.Get(key); ok {
-		if tr, ok := v.(*sim.Trace); ok {
-			return tr, true
-		}
-	}
-	if tr, ok := t.s.loadSpilledTrace(key); ok {
-		t.s.cache.Put(key, tr, traceBytes(tr))
-		return tr, true
-	}
-	return nil, false
-}
-
-func (t traceStore) PutTrace(key string, tr *sim.Trace) {
-	t.s.cache.Put(key, tr, traceBytes(tr))
-	t.s.spillTrace(key, tr)
-}
-
-// runCampaign executes the full pipeline for one campaign, sharing every
-// cacheable artifact through the content-addressed cache.
-func (s *Service) runCampaign(ctx context.Context, c *campaign) (*Result, error) {
-	start := time.Now()
-	spec := c.spec
-	tr := c.trace
-	hits, misses := 0, 0
-	count := func(hit bool) string {
-		if hit {
-			hits++
-			tr.Add("cache-hits", 1)
-			return "cache hit"
-		}
-		misses++
-		tr.Add("cache-misses", 1)
-		return "built"
-	}
-
-	info, err := bench.ByName(spec.Design)
-	if err != nil {
-		return nil, err
-	}
-
-	// 1. Golden artifact: the technology-mapped netlist (shared
-	// read-only), its content fingerprint, and the compiled simulator
-	// program (forked per campaign: the fork shares the program, owns the
-	// state). The bench catalog is static and deterministic, so the
-	// design name plus the lane width addresses all three — warm
-	// campaigns skip the netlist rebuild and fingerprint hashing
-	// entirely, and campaigns at different sim_lanes never share a
-	// program (the value plane is laid out per width).
-	v, hit, err := s.cache.GetOrBuild(fmt.Sprintf("golden/%s/l%d", spec.Design, spec.SimLanes), func() (any, int64, error) {
-		// The cold-path builds are spans on the building campaign's
-		// trace; campaigns served from cache record none (the cache-hit
-		// counter tells that story instead). A durable service tries the
-		// spilled BLIF first — parsing it replaces synth+techmap and is
-		// digest-safe because the spill was round-trip-verified when
-		// written (persist.go).
-		var mapped *netlist.Netlist
-		if nl, ok := s.loadSpilledNetlist(spec.Design); ok {
-			ssp := tr.Start(obs.StageSynth)
-			ssp.Add("netlist-spill-hit", 1)
-			mapped = nl
-			ssp.End()
-		} else {
-			ssp := tr.Start(obs.StageSynth)
-			nl := info.Build()
-			ssp.End()
-			msp := tr.Start(obs.StageMap)
-			m, err := synth.TechMap(nl)
-			msp.End()
-			if err != nil {
-				return nil, 0, err
-			}
-			mapped = m
-			s.spillNetlist(spec.Design, mapped)
-		}
-		csp := tr.Start(obs.StageCompile)
-		mach, err := sim.CompileWidth(mapped, spec.SimLanes/64)
-		csp.End()
-		if err != nil {
-			return nil, 0, err
-		}
-		ga := &goldenArtifact{golden: mapped, fp: mapped.Fingerprint(), mach: mach}
-		return ga, netlistBytes(mapped) + machineBytes(mach), nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("synth %s: %w", spec.Design, err)
-	}
-	ga := v.(*goldenArtifact)
-	golden := ga.golden
-	goldenMach := ga.mach.Fork()
-	c.appendEvent("synth", 0, "golden mapped netlist %s (%s)", ga.fp[:8], count(hit))
-	c.appendEvent("compile", 0, "golden simulator program (%s)", hitWord(hit))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Faultscan campaigns branch off here: they need no injection, no
-	// layout and no baseline — just the golden artifact and the
-	// lane-parallel mutant engine.
-	if spec.Kind == KindFaultScan {
-		res, err := s.runFaultScan(ctx, c, ga, count)
-		if err != nil {
-			return nil, err
-		}
-		res.CacheHits = hits
-		res.CacheMisses = misses
-		res.WallMs = float64(time.Since(start).Microseconds()) / 1000
-		res.Digest = res.digest()
-		return res, nil
-	}
-
-	// 2. Implementation under test: golden + injected design error.
-	impl := golden.Clone()
-	inj, err := faults.InjectRandom(impl, spec.FaultSeed)
-	if err != nil {
-		return nil, fmt.Errorf("inject: %w", err)
-	}
-	c.appendEvent("inject", 0, "design error: %v", inj)
-	implFP := impl.Fingerprint()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// 3. Pristine tiled layout pool: the expensive synth/place/route
-	// artifact, cached by content address + physical-design knobs. The
-	// pool hands each campaign an exclusive transactional working copy
-	// (warmed persistent router included) and rolls it back on check-in
-	// — the per-campaign Layout.Clone only happens when concurrency
-	// outgrows the free list.
-	lkey := spec.layoutKey(implFP)
-	v, hit, err = s.cache.GetOrBuild(lkey, func() (any, int64, error) {
-		// The initial build records place/route spans on the building
-		// campaign's trace; BuildMapped detaches it before the layout is
-		// stored, so the cached pristine never outlives this trace.
-		cs := core.Spec{
-			Overhead: spec.Overhead, TileFrac: spec.TileFrac,
-			Seed: spec.Seed, PlaceEffort: spec.PlaceEffort,
-			Obs: tr,
-		}
-		if spec.Overlay {
-			cs.OverlayReserve = overlay.DefaultReserve
-		}
-		l, err := core.BuildMapped(impl.Clone(), cs)
-		if err != nil {
-			return nil, 0, err
-		}
-		p := newLayoutPool(l)
-		if spec.Overlay {
-			// The overlay trunks are routed into the pristine layout
-			// before any campaign clones it, so every working copy
-			// inherits the locked wiring; the plan itself is shared
-			// read-only.
-			plan, err := overlay.Build(l, overlay.DefaultChannels)
-			if err != nil {
-				return nil, 0, err
-			}
-			p.plan = plan
-			p.digest = l.StateDigest()
-		}
-		// Charge the pool's worst-case residency: the pristine
-		// reference plus the bounded free list of rolled-back copies.
-		return p, (1 + maxPoolFree) * layoutBytes(l), nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("layout %s: %w", spec.Design, err)
-	}
-	pool := v.(*layoutPool)
-	layout, lease, reused := pool.checkout()
-	// Attach the campaign trace to the working copy so every incremental
-	// place/route/sta under ApplyDelta lands in it; detach before the
-	// copy returns to the pool's free list.
-	layout.SetObs(tr)
-	defer func() {
-		layout.SetObs(nil)
-		pool.checkin(layout, lease)
-	}()
-	c.appendEvent("place", 0, "tiled layout %v, %d tiles (%s; %s)", layout.Dev, len(layout.Tiles), count(hit), leaseWord(reused))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// 4. Full re-P&R baseline of the pristine layout — the non-tiled
-	// comparison point, identical for every campaign on this layout. It
-	// only reads the pristine layout, so it runs on its own goroutine
-	// while this campaign debugs; the cache holds the future, and the
-	// result is awaited only when the campaign's result is assembled.
-	// The campaign that built the cache entry starts the future once the
-	// entry is in place, so a failed baseline can always drop it again.
-	fkey := lkey + "/fullpr"
-	v, hit, err = s.cache.GetOrBuild(fkey, func() (any, int64, error) {
-		return newBaselineFuture(), 64, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", spec.Design, err)
-	}
-	baseline := v.(*baselineFuture)
-	if !hit {
-		seed := spec.Seed + 1000
-		baseline.start(&s.baselines, func() (core.Effort, error) {
-			return pool.pristine.FullRePlaceRoute(seed)
-		}, func() { s.cache.Forget(fkey, baseline) })
-	}
-	c.appendEvent("baseline", 0, "full re-P&R baseline (%s)", count(hit))
-
-	// 5. The debugging loop, with context, progress and the golden-trace
-	// cache threaded through.
-	sess, err := debug.NewSession(golden, layout, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sess.Ctx = ctx
-	sess.Traces = traceStore{s}
-	sess.SimWidth = spec.SimLanes / 64
-	sess.Obs = tr
-	sess.SetGoldenMachine(goldenMach)
-	sess.SetGoldenFingerprint(ga.fp)
-	sess.Progress = func(ev debug.Event) {
-		c.appendEvent(ev.Stage, ev.Round, "%s", ev.Msg)
-	}
-	if spec.Overlay && pool.plan != nil {
-		// Bind a per-campaign tap selector to the working copy and turn
-		// on the causal-chain localizer; both ride the campaign's layout
-		// transaction, so the pool check-in rollback restores a parked
-		// selection. Non-overlay campaigns keep Causal off so their
-		// historical round counts and digests are unchanged.
-		sess.Overlay = pool.plan.NewSelector(layout)
-		sess.Causal = true
-		c.appendEvent("overlay", 0, "debug overlay: %d channels, %d taps, trunk wirelength %d",
-			pool.plan.Channels, pool.plan.Taps, pool.plan.TrunkLen)
-	}
-
-	// 5b. Optional fault dictionary: built once per (design, detection
-	// params) and cached, it lets localization skip probe insertion for
-	// errors it can name from the PO-mismatch signature alone.
-	if spec.UseDict {
-		dkey := fmt.Sprintf("dict/%s/w%d-c%d-s%d", ga.fp, spec.Words, spec.Cycles, spec.Seed)
-		v, hit, err = s.cache.GetOrBuild(dkey, func() (any, int64, error) {
-			dsp := tr.Start(obs.StageLocalizeDict)
-			defer dsp.End()
-			d, err := debug.BuildFaultDict(ga.mach, spec.Words, spec.Cycles, spec.Seed)
-			if err != nil {
-				return nil, 0, err
-			}
-			dsp.Add("dict-faults", int64(d.Faults))
-			return d, d.MemoryFootprint(), nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("dict %s: %w", spec.Design, err)
-		}
-		sess.Dict = v.(*debug.FaultDict)
-		c.appendEvent("dict", 0, "fault dictionary: %d/%d faults detectable, %d signatures (%s)",
-			sess.Dict.Detected, sess.Dict.Faults, sess.Dict.Signatures(), count(hit))
-	}
-
-	var res *Result
-	if spec.Kind == KindRepair {
-		res, err = s.runRepairCampaign(ctx, c, sess, impl, implFP, spec, count)
-		if err != nil {
-			return nil, err
-		}
-		res.Design = spec.Design
-		res.Injected = inj.String()
-	} else {
-		rep, err := sess.RunLoopCore(spec.MaxIters, spec.Words, spec.Cycles, spec.MaxRounds, spec.ProbesPerRound)
-		if err != nil {
-			return nil, err
-		}
-		res = &Result{
-			Design:     spec.Design,
-			Injected:   inj.String(),
-			Detected:   rep.Iterations > 0,
-			Clean:      rep.Clean,
-			Iterations: rep.Iterations,
-		}
-		for _, diag := range rep.Diagnoses {
-			res.Rounds += diag.Rounds
-			res.ProbesInserted += diag.Probes
-			if diag.Dict {
-				res.DictResolved++
-			}
-		}
-		for _, cor := range rep.Corrections {
-			res.Fixed = append(res.Fixed, cor.Fixed...)
-			if cor.Repaired {
-				res.Repaired++
-				res.RepairKind = cor.RepairKind
-				res.Candidates += cor.Candidates
-				res.Survivors += cor.Survivors
-				res.CandidateBatches += cor.Batches
-				res.ECOVerified = cor.ECOVerified
-			} else {
-				res.RepairFallback = true
-			}
-		}
-	}
-
-	if spec.Overlay {
-		res.Overlay = true
-		res.OverlaySwitches = sess.OverlaySwitches
-		res.OverlayFallbacks = sess.OverlayFallbacks
-	}
-	fullEffort, err := baseline.wait(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", spec.Design, err)
-	}
-	res.TileWork = sess.TileEffort.Work()
-	res.FullWork = fullEffort.Work()
-	if updates := res.Rounds + res.Iterations; updates > 0 && res.TileWork > 0 {
-		res.SpeedupPerIter = res.FullWork / (res.TileWork / float64(updates))
-	}
-	res.CacheHits = hits
-	res.CacheMisses = misses
-	res.WallMs = float64(time.Since(start).Microseconds()) / 1000
-	res.Digest = res.digest()
-	return res, nil
 }
 
 // ---------------------------------------------------------- size estimates

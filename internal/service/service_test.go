@@ -372,3 +372,30 @@ func TestCloseCancelsQueued(t *testing.T) {
 		t.Fatalf("running campaign not terminal after Close: %s", stB.State)
 	}
 }
+
+// TestSpecCeilings pins the Spec ceilings: each bound is accepted at the
+// ceiling and rejected one past it, and products that would overflow an
+// int are rejected rather than wrapped.
+func TestSpecCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		sp Spec
+		ok bool
+	}{
+		{Spec{Words: 256, Cycles: 4}, true},
+		{Spec{Words: 257, Cycles: 4}, false},
+		{Spec{Words: 1 << 62, Cycles: 4}, false},
+		{Spec{Words: 4, Cycles: 1 << 62}, false},
+		{Spec{Patterns: 4096, Cycles: 2}, true},
+		{Spec{Patterns: 4097, Cycles: 2}, false},
+		{Spec{Patterns: 1 << 62, Cycles: 4}, false},
+		{Spec{MaxIters: 64, MaxRounds: 64, ProbesPerRound: 64}, true},
+		{Spec{MaxIters: 65}, false},
+		{Spec{MaxRounds: 65}, false},
+		{Spec{ProbesPerRound: 65}, false},
+	} {
+		tc.sp.Design = "9sym"
+		if err := tc.sp.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate = %v, want ok=%v", tc.sp, err, tc.ok)
+		}
+	}
+}
