@@ -12,6 +12,7 @@ import (
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
 	"fpgadbg/internal/overlay"
+	"fpgadbg/internal/repair"
 	"fpgadbg/internal/sim"
 	"fpgadbg/internal/testgen"
 )
@@ -52,6 +53,12 @@ type Session struct {
 	// content address, so repeated detections of the same golden design
 	// (within this session or across concurrent sessions) replay once.
 	Traces TraceStore
+	// Oracle, when set, memoizes the golden model's broadcast replays for
+	// the repair search, bit-packed per stimulus; the campaign service
+	// backs it with its artifact cache so every campaign on a golden
+	// design shares one. Nil gives the session a private oracle on its
+	// first repair.
+	Oracle *repair.Oracle
 	// Dict, when set, is the golden design's fault dictionary: RunLoopCore
 	// and LocalizeDict consult it before inserting any observation logic,
 	// and only fall back to probe rounds when it is ambiguous (see

@@ -7,18 +7,20 @@ package debug
 // trace replay on the lanes of the shared compiled implementation
 // program, survivors are re-verified on an independent stimulus, and the
 // ranked winner is applied through the same tile-local ECO path every
-// other physical change takes — core.Layout.ApplyDelta plus an
-// eco.Verify sign-off replay against the golden model. The golden design
+// other physical change takes — core.Layout.ApplyDelta plus an ECO
+// sign-off replay against the session's compiled golden machine
+// (sim.EquivalentCompiled, no golden recompile). The golden design
 // is consulted only behaviourally (its primary-output streams, and the
-// same internal-net stream observation localization already performs);
-// its cell structure is never read. See DESIGN.md §10.
+// same internal-net stream observation localization already performs),
+// through the session's golden oracle (repair.Oracle), which memoizes
+// each broadcast replay; its cell structure is never read. See DESIGN.md
+// §10.
 
 import (
 	"errors"
 	"fmt"
 
 	"fpgadbg/internal/core"
-	"fpgadbg/internal/eco"
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
 	"fpgadbg/internal/repair"
@@ -106,6 +108,10 @@ func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine)
 	if err != nil {
 		return nil, err
 	}
+	if s.Oracle == nil {
+		s.Oracle = repair.NewOracle(nil, "")
+	}
+	eng.SetOracle(s.Oracle)
 
 	// Validation stimulus: the scalar expansion of the detection blocks —
 	// the same broadcast family the fault dictionary observes under, so
@@ -169,7 +175,7 @@ func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine)
 	// stimulus — revert it through the journal and report the search
 	// inconclusive, so nothing of the bad repair survives.
 	esp := s.Obs.Start(obs.StageEcoVerify)
-	mm, err := eco.Verify(s.Golden, s.Layout.NL, words, cycles, s.Seed+ecoVerifySeedOffset)
+	mm, err := sim.EquivalentCompiled(mg, s.Layout.NL, words, cycles, s.Seed+ecoVerifySeedOffset)
 	esp.End()
 	if err != nil {
 		return nil, rollback(fmt.Errorf("debug: eco verify: %w", err))

@@ -24,8 +24,14 @@
 // Candidates are validated 64 at a time: each one is armed as a per-lane
 // truth-table substitution (sim.SetLanePatch) on a fork of the shared
 // compiled implementation program, one broadcast trace replay scores the
-// whole batch against the golden trace, and nothing is cloned or
-// recompiled. Survivors of the detection stimulus are re-validated on an
+// whole batch against the golden streams, and nothing is cloned or
+// recompiled. Every golden replay goes through an Oracle, which memoizes
+// it per (golden fingerprint, stimulus) as one bit per (step, net) —
+// broadcast stimulus keeps every golden lane equal, so one entry serves
+// every lane width — and records nets lazily, as callers ask for them.
+// An OracleStore shares entries between engines; the campaign service
+// backs it with its artifact cache. Stimuli must be broadcast: a word
+// that is neither 0 nor all-ones is rejected with ErrNotBroadcast. Survivors of the detection stimulus are re-validated on an
 // independent verification stimulus and ranked by minimality; the winner
 // is applied to the live netlist (Candidate.Apply) and flows through the
 // tile-local ECO path in internal/debug. SerialValidate replays the same

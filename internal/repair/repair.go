@@ -145,6 +145,12 @@ type Engine struct {
 	implOnlyPIs []netlist.NetID
 
 	tr sim.Trace // batch replay buffer, reused across batches
+
+	// oracle serves every golden replay; gtr is its miss-replay buffer.
+	// oracleHits and oracleMisses count stream lookups for span attrs.
+	oracle                   *Oracle
+	gtr                      sim.Trace
+	oracleHits, oracleMisses int64
 }
 
 // NewEngine pairs a golden oracle machine with the implementation's
@@ -153,7 +159,7 @@ type Engine struct {
 // netlist must name-match the layout netlist candidates will be applied
 // to.
 func NewEngine(golden, impl *sim.Machine) (*Engine, error) {
-	e := &Engine{golden: golden.Fork(), impl: impl.Fork()}
+	e := &Engine{golden: golden.Fork(), impl: impl.Fork(), oracle: NewOracle(nil, "")}
 	goldenNL := golden.Netlist()
 	e.piNames = goldenNL.SortedPINames()
 	if err := e.golden.BindNames(e.piNames); err != nil {
@@ -188,6 +194,11 @@ func NewEngine(golden, impl *sim.Machine) (*Engine, error) {
 	e.iCols = iCols
 	return e, nil
 }
+
+// SetOracle makes the engine read its golden replays from o, shared with
+// other engines on the same golden design, instead of the private oracle
+// NewEngine gives it.
+func (e *Engine) SetOracle(o *Oracle) { e.oracle = o }
 
 // Netlist returns the implementation netlist candidates are enumerated
 // from.
@@ -420,9 +431,9 @@ type site struct {
 	k    int
 }
 
-// observeTables replays obsStim once on the golden model, probing — per
-// site — the same-named fanin nets and output net of the suspect cell,
-// and resynthesizes the truth table the observed behaviour demands:
+// observeTables reads, from the golden oracle's replay of obsStim, the
+// streams of each site's same-named fanin nets and output net, and
+// resynthesizes the truth table the observed behaviour demands:
 // minterm m of the fanin stream must produce the output stream's value.
 // Observing both sides of the cell on the golden replay keeps the pairs
 // consistent even when the fault has walked the implementation's
@@ -431,8 +442,8 @@ type site struct {
 // one). This is purely behavioural use of the golden design — net-value
 // streams by name, exactly what localization's stream comparison already
 // observes — not a structural read. obsStim must be broadcast scalar
-// stimulus (every word 0 or all-ones); only lane 0 is read. Sites with a
-// fanin or output net the golden design does not know, or whose
+// stimulus (every word 0 or all-ones; ErrNotBroadcast otherwise). Sites
+// with a fanin or output net the golden design does not know, or whose
 // observations conflict (a rewired fanin makes the output no function of
 // the observed nets), produce no table; unobserved minterms keep the
 // implementation's current value.
@@ -440,45 +451,42 @@ func (e *Engine) observeTables(sites []site, obsStim [][]uint64) (map[string]uin
 	nl := e.impl.Netlist()
 	goldenNL := e.golden.Netlist()
 
-	var probes []netlist.NetID
+	var names []string
 	type probed struct {
 		site     int
-		faninCol int // first fanin column in the golden trace
-		outCol   int // output column in the golden trace
+		faninCol int // first fanin stream in names
+		outCol   int // output stream in names
 	}
 	var ps []probed
 	for si, s := range sites {
 		cell := &nl.Cells[s.id]
-		cols := make([]netlist.NetID, 0, len(cell.Fanin)+1)
+		first := len(names)
 		known := true
 		for _, f := range cell.Fanin {
-			gid, ok := goldenNL.NetByName(nl.NetName(f))
-			if !ok {
+			n := nl.NetName(f)
+			if _, ok := goldenNL.NetByName(n); !ok {
 				known = false
 				break
 			}
-			cols = append(cols, gid)
+			names = append(names, n)
 		}
-		gout, ok := goldenNL.NetByName(nl.NetName(cell.Out))
-		if !known || !ok {
+		out := nl.NetName(cell.Out)
+		if _, ok := goldenNL.NetByName(out); !known || !ok {
+			names = names[:first]
 			continue
 		}
-		ps = append(ps, probed{site: si, faninCol: len(probes), outCol: len(probes) + len(cols)})
-		probes = append(probes, cols...)
-		probes = append(probes, gout)
+		ps = append(ps, probed{site: si, faninCol: first, outCol: len(names)})
+		names = append(names, out)
 	}
 	if len(ps) == 0 {
 		return map[string]uint16{}, nil
 	}
 
-	mg := e.golden.Fork()
-	if err := mg.BindNames(e.piNames); err != nil {
+	cols, err := e.streams(obsStim, names)
+	if err != nil {
 		return nil, fmt.Errorf("repair: observe: %w", err)
 	}
-	if err := mg.Probe(probes...); err != nil {
-		return nil, fmt.Errorf("repair: observe: %w", err)
-	}
-	tg := mg.RunTrace(obsStim)
+	bit := func(col []uint64, c int) uint64 { return col[c>>6] >> uint(c&63) & 1 }
 
 	out := make(map[string]uint16, len(ps))
 	for _, p := range ps {
@@ -488,23 +496,18 @@ func (e *Engine) observeTables(sites []site, obsStim [][]uint64) (map[string]uin
 		for c := 0; c < len(obsStim) && !conflict; c++ {
 			m := 0
 			for j := 0; j < s.k; j++ {
-				if tg.ProbeVal(c, p.faninCol+j)&1 != 0 {
-					m |= 1 << uint(j)
-				}
+				m |= int(bit(cols[p.faninCol+j], c)) << uint(j)
 			}
-			bit := uint16(0)
-			if tg.ProbeVal(c, p.outCol)&1 != 0 {
-				bit = 1
-			}
+			b := uint16(bit(cols[p.outCol], c))
 			mask := uint16(1) << uint(m)
 			if care&mask != 0 {
-				if (want>>uint(m))&1 != bit {
+				if (want>>uint(m))&1 != b {
 					conflict = true
 				}
 				continue
 			}
 			care |= mask
-			want |= bit << uint(m)
+			want |= b << uint(m)
 		}
 		if conflict {
 			continue

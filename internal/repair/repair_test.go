@@ -219,7 +219,11 @@ func TestValidateMatchesSerial(t *testing.T) {
 // lane-parallel verdicts with the replayed step count.
 func checkValidateMatchesSerial(t *testing.T, e *Engine, cands []Candidate, stim [][]uint64) ([]bool, int) {
 	t.Helper()
-	par, batches, replayed, err := e.validateAgainst(e.golden.RunTrace(stim), cands, stim, nil)
+	gt, err := e.streams(stim, e.poNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, batches, replayed, err := e.validateAgainst(gt, cands, stim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ type Config struct {
 	// campaign service cancels through it).
 	OnBatch func(done, total int) error
 	// Obs, when set, receives repair-enumerate and repair-validate spans
-	// with candidate/batch counters. Nil disables tracing at zero cost.
+	// with candidate/batch counters and the golden oracle's oracle-hit
+	// and oracle-miss lookups. Nil disables tracing at zero cost.
 	Obs *obs.Trace
 }
 
@@ -86,12 +87,17 @@ type Outcome struct {
 // Validate scores candidates Lanes() per trace replay: each batch arms
 // one truth-table substitution per lane (sim.SetLanePatch) on the
 // engine's shared compiled implementation program and compares every
-// lane's primary-output stream against the golden oracle trace — a
+// lane's primary-output stream against the golden oracle's streams — a
 // wide implementation machine retires 64·W candidates per replay. stim
-// must be broadcast scalar stimulus. alive[i] reports that candidate
-// i's lanes never diverged from the golden stream. onBatch may be nil.
+// must be broadcast scalar stimulus (ErrNotBroadcast otherwise). alive[i]
+// reports that candidate i's lanes never diverged from the golden
+// stream. onBatch may be nil.
 func (e *Engine) Validate(cands []Candidate, stim [][]uint64, onBatch func(done, total int) error) (alive []bool, batches int, err error) {
-	alive, batches, _, err = e.validateAgainst(e.golden.RunTrace(stim), cands, stim, onBatch)
+	gt, err := e.streams(stim, e.poNames)
+	if err != nil {
+		return nil, 0, err
+	}
+	alive, batches, _, err = e.validateAgainst(gt, cands, stim, onBatch)
 	return alive, batches, err
 }
 
@@ -125,11 +131,11 @@ func (e *Engine) replayUntil(stim [][]uint64, more func(lo int) bool) (replayed 
 	return replayed
 }
 
-// validateAgainst is Validate with the golden trace precomputed, so the
-// detection and verification passes of one Search share the oracle
-// replays per stimulus. replayed counts the implementation steps
-// actually replayed across all batches.
-func (e *Engine) validateAgainst(gt *sim.Trace, cands []Candidate, stim [][]uint64, onBatch func(done, total int) error) (alive []bool, batches, replayed int, err error) {
+// validateAgainst is Validate with the golden primary-output streams
+// (e.poNames order) already read from the oracle, so the excitation
+// check and the detection pass of one Search share them. replayed counts
+// the implementation steps actually replayed across all batches.
+func (e *Engine) validateAgainst(gt [][]uint64, cands []Candidate, stim [][]uint64, onBatch func(done, total int) error) (alive []bool, batches, replayed int, err error) {
 	nl := e.impl.Netlist()
 	alive = make([]bool, len(cands))
 	lanes := e.impl.Lanes()
@@ -168,8 +174,8 @@ func (e *Engine) validateAgainst(gt *sim.Trace, cands []Candidate, stim [][]uint
 				anyLive = false
 				for po, col := range e.iCols {
 					// Broadcast stimulus keeps the golden lane words equal,
-					// so word 0 of the oracle covers every perturbed word.
-					g := gt.Out(lo+c, po)
+					// so one oracle bit covers every perturbed word.
+					g := goldenBit(gt[po], lo+c)
 					for w := 0; w < W; w++ {
 						masks[w] &^= e.tr.OutW(c, col, w) ^ g
 					}
@@ -285,14 +291,20 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 	cfg = cfg.withDefaults()
 
 	// The unrepaired implementation must fail detStim, or survival means
-	// nothing.
-	gt := e.golden.RunTrace(detStim)
+	// nothing. The detection oracle lookup is reported on the first
+	// detection-validation span.
+	hits, misses := e.oracleHits, e.oracleMisses
+	gt, err := e.streams(detStim, e.poNames)
+	if err != nil {
+		return nil, err
+	}
+	detHits, detMisses := e.oracleHits-hits, e.oracleMisses-misses
 	e.impl.ClearLaneFaults()
 	excited := false
 	e.replayUntil(detStim, func(lo int) bool {
 		for c := 0; c < e.tr.Cycles && !excited; c++ {
 			for po, col := range e.iCols {
-				if e.tr.Out(c, col) != gt.Out(lo+c, po) {
+				if e.tr.Out(c, col) != goldenBit(gt[po], lo+c) {
 					excited = true
 					break
 				}
@@ -311,8 +323,10 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 	out := &Outcome{}
 	for round := 0; round < cfg.RefineRounds; round++ {
 		esp := cfg.Obs.Start(obs.StageRepairEnumerate)
+		hits, misses = e.oracleHits, e.oracleMisses
 		cands, err := e.Enumerate(suspects, obsStim)
 		esp.Add("candidates", int64(len(cands)))
+		addOracleAttrs(esp, e.oracleHits-hits, e.oracleMisses-misses)
 		esp.End()
 		if err != nil {
 			return nil, err
@@ -327,6 +341,8 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 		vsp.Add("candidates-validated", int64(len(cands)))
 		vsp.Add("lane-batches", int64(nb))
 		vsp.Add("replayed-cycles", int64(replayed))
+		addOracleAttrs(vsp, detHits, detMisses)
+		detHits, detMisses = 0, 0
 		vsp.End()
 		if err != nil {
 			return nil, err
@@ -346,10 +362,17 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 		verifyStim := testgenScalar(e.NumPIs(), cfg.VerifyPatterns,
 			cfg.Seed+verifySeedOffset+int64(round)*verifySeedStride, cfg.VerifyCycles)
 		wsp := cfg.Obs.Start(obs.StageRepairValidate)
-		verified, nb, replayed, err := e.validateAgainst(e.golden.RunTrace(verifyStim), survivors, verifyStim, cfg.OnBatch)
+		hits, misses = e.oracleHits, e.oracleMisses
+		vt, err := e.streams(verifyStim, e.poNames)
+		if err != nil {
+			wsp.End()
+			return nil, err
+		}
+		verified, nb, replayed, err := e.validateAgainst(vt, survivors, verifyStim, cfg.OnBatch)
 		wsp.Add("candidates-validated", int64(len(survivors)))
 		wsp.Add("lane-batches", int64(nb))
 		wsp.Add("replayed-cycles", int64(replayed))
+		addOracleAttrs(wsp, e.oracleHits-hits, e.oracleMisses-misses)
 		wsp.End()
 		if err != nil {
 			return nil, err
@@ -374,6 +397,13 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 		obsStim = append(obsStim, verifyStim...)
 	}
 	return out, nil
+}
+
+// addOracleAttrs records golden-oracle lookups on a span: hits served
+// every stream from memo, misses replayed the golden model.
+func addOracleAttrs(sp *obs.Span, hits, misses int64) {
+	sp.Add("oracle-hit", hits)
+	sp.Add("oracle-miss", misses)
 }
 
 // Seed offsets keeping the observation and verification streams disjoint

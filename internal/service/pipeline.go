@@ -22,6 +22,7 @@ import (
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
 	"fpgadbg/internal/overlay"
+	"fpgadbg/internal/repair"
 	"fpgadbg/internal/sim"
 	"fpgadbg/internal/synth"
 )
@@ -351,9 +352,9 @@ func (r *run) baseline(lkey string) (*baselineFuture, error) {
 }
 
 // session binds a debug session to the leased layout, with context,
-// progress, the golden program and the golden-trace cache threaded
-// through, plus the overlay selector and the fault dictionary when the
-// spec asks for them.
+// progress, the golden program, the golden-trace cache and the repair
+// search's golden oracle threaded through, plus the overlay selector and
+// the fault dictionary when the spec asks for them.
 func (r *run) session() (*debug.Session, error) {
 	r.enter("session")
 	spec, c := r.spec, r.c
@@ -363,6 +364,7 @@ func (r *run) session() (*debug.Session, error) {
 	}
 	sess.Ctx = r.ctx
 	sess.Traces = traceStore{r.s}
+	sess.Oracle = repair.NewOracle(oracleStore{r.s.cache}, r.ga.fp)
 	sess.SimWidth = spec.SimLanes / 64
 	sess.Obs = r.tr
 	sess.SetGoldenMachine(r.ga.mach.Fork())
@@ -428,4 +430,24 @@ func (t traceStore) GetTrace(key string) (*sim.Trace, bool) {
 func (t traceStore) PutTrace(key string, tr *sim.Trace) {
 	t.s.cache.Put(key, tr, traceBytes(tr))
 	t.s.spillTrace(key, tr)
+}
+
+// oracleStore adapts the artifact cache to repair.OracleStore under the
+// oracle/<golden fingerprint>/<stimulus id> family: one entry per golden
+// design and broadcast stimulus, shared by every lane width and suspect
+// set. An entry fills in lazily, so it is charged at its worst case (all
+// golden nets recorded) and never spilled. The lookups are not counted
+// in Result.CacheHits/CacheMisses; the repair spans carry oracle-hit and
+// oracle-miss instead.
+type oracleStore struct{ c *Cache }
+
+func (o oracleStore) OracleEntry(key string, create func() (*repair.Streams, int64)) *repair.Streams {
+	v, _, err := o.c.GetOrBuild("oracle/"+key, func() (any, int64, error) {
+		st, charge := create()
+		return st, charge, nil
+	})
+	if err != nil {
+		return nil
+	}
+	return v.(*repair.Streams)
 }
