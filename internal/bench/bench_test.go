@@ -51,6 +51,39 @@ func TestCatalogBuildsAndMaps(t *testing.T) {
 	}
 }
 
+// replay drives m through the clocked input sequence ins (primary input
+// name → word; inputs a map omits are held at zero) and returns a reader
+// of the primary output words by cycle and name.
+func replay(t *testing.T, m *sim.Machine, ins ...map[string]uint64) func(cycle int, po string) uint64 {
+	t.Helper()
+	pis := m.PIOrder()
+	stim := make([][]uint64, len(ins))
+	for c, in := range ins {
+		for name := range in {
+			if _, err := m.Slot(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		row := make([]uint64, len(pis))
+		for j, name := range pis {
+			row[j] = in[name]
+		}
+		stim[c] = row
+	}
+	if err := m.BindNames(pis); err != nil {
+		t.Fatal(err)
+	}
+	tr := m.RunTrace(stim)
+	return func(cycle int, po string) uint64 {
+		t.Helper()
+		cols, err := m.POCols([]string{po})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Out(cycle, cols[0])
+	}
+}
+
 func TestByName(t *testing.T) {
 	if _, err := ByName("9sym"); err != nil {
 		t.Fatal(err)
@@ -67,6 +100,7 @@ func TestNineSymExactFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive all 512 assignments in 8 words of 64.
+	var ins []map[string]uint64
 	for base := uint64(0); base < 512; base += 64 {
 		in := make(map[string]uint64)
 		for i := 0; i < 9; i++ {
@@ -78,15 +112,15 @@ func TestNineSymExactFunction(t *testing.T) {
 			}
 			in[nl.Nets[nl.PIs[i]].Name] = w
 		}
-		out, err := m.Step(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		po := nl.Nets[nl.POs[0]].Name
+		ins = append(ins, in)
+	}
+	out := replay(t, m, ins...)
+	po := nl.Nets[nl.POs[0]].Name
+	for base := uint64(0); base < 512; base += 64 {
 		for p := uint64(0); p < 64; p++ {
 			ones := bits.OnesCount64(base + p)
 			want := ones >= 3 && ones <= 6
-			if (out[po]&(1<<p) != 0) != want {
+			if (out(int(base/64), po)&(1<<p) != 0) != want {
 				t.Fatalf("9sym wrong at assignment %d", base+p)
 			}
 		}
@@ -125,21 +159,13 @@ func TestC499CorrectsSingleErrors(t *testing.T) {
 		} else {
 			in["en"] = 0
 		}
-		out, err := m.Step(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := replay(t, m, in)
 		var v uint64
 		for i := 0; i < 32; i++ {
-			name := ""
-			for ni := range nl.Nets {
-				_ = ni
-			}
 			// POs are in order fix0..fix31 of creation; read via PO list.
-			if out[nl.Nets[nl.POs[i]].Name]&1 != 0 {
+			if out(0, nl.Nets[nl.POs[i]].Name)&1 != 0 {
 				v |= 1 << uint(i)
 			}
-			_ = name
 		}
 		return v
 	}
@@ -182,13 +208,10 @@ func TestC880ALUOps(t *testing.T) {
 		} else {
 			in["cin"] = 0
 		}
-		out, err := m.Step(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := replay(t, m, in)
 		var v uint64
 		for i := 0; i < 8; i++ {
-			if out[nl.Nets[nl.POs[i]].Name]&1 != 0 {
+			if out(0, nl.Nets[nl.POs[i]].Name)&1 != 0 {
 				v |= 1 << uint(i)
 			}
 		}
@@ -232,14 +255,15 @@ func TestFSMsAreDeterministicAndAlive(t *testing.T) {
 		for _, pi := range a.PIs {
 			in[a.Nets[pi].Name] = 0xAAAA5555CCCC3333
 		}
-		for cyc := 0; cyc < 16; cyc++ {
-			out, err := m.Step(in)
-			if err != nil {
-				t.Fatal(err)
-			}
+		ins := make([]map[string]uint64, 16)
+		for cyc := range ins {
+			ins[cyc] = in
+		}
+		out := replay(t, m, ins...)
+		for cyc := range ins {
 			key := ""
 			for _, po := range a.POs {
-				if out[a.Nets[po].Name]&1 != 0 {
+				if out(cyc, a.Nets[po].Name)&1 != 0 {
 					key += "1"
 				} else {
 					key += "0"
@@ -260,12 +284,10 @@ func TestMIPSExecutesAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All registers start at 0; an add producing 0 keeps outputs 0; the
-	// PC must advance each cycle with run=1.
-	in := make(map[string]uint64)
-	for _, pi := range nl.PIs {
-		in[nl.Nets[pi].Name] = 0
-	}
-	in["run"] = ^uint64(0)
+	// PC must advance each cycle with run=1, then freeze with run=0.
+	run := map[string]uint64{"run": ^uint64(0)}
+	halt := map[string]uint64{"run": 0}
+	out := replay(t, m, run, run, run, halt, halt)
 	pcNames := []string{}
 	for _, po := range nl.POs {
 		name := nl.Nets[po].Name
@@ -276,30 +298,20 @@ func TestMIPSExecutesAdd(t *testing.T) {
 	if len(pcNames) == 0 {
 		t.Fatal("no PC outputs found")
 	}
-	read := func(out map[string]uint64) uint64 {
+	read := func(cycle int) uint64 {
 		var v uint64
 		for i, n := range pcNames {
-			if out[n]&1 != 0 {
+			if out(cycle, n)&1 != 0 {
 				v |= 1 << uint(i)
 			}
 		}
 		return v
 	}
-	out, _ := m.Step(in)
-	pc0 := read(out)
-	out, _ = m.Step(in)
-	pc1 := read(out)
-	out, _ = m.Step(in)
-	pc2 := read(out)
+	pc0, pc1, pc2 := read(0), read(1), read(2)
 	if pc1 != pc0+1 || pc2 != pc1+1 {
 		t.Fatalf("PC not incrementing: %d %d %d", pc0, pc1, pc2)
 	}
-	// With run=0 the PC freezes.
-	in["run"] = 0
-	out, _ = m.Step(in)
-	pc3 := read(out)
-	out, _ = m.Step(in)
-	pc4 := read(out)
+	pc3, pc4 := read(3), read(4)
 	if pc4 != pc3 {
 		t.Fatalf("PC moved while halted: %d -> %d", pc3, pc4)
 	}
@@ -319,13 +331,10 @@ func TestDESIsPermutationish(t *testing.T) {
 			seed = seed*6364136223846793005 + 1442695040888963407
 			in[nl.Nets[pi].Name] = seed
 		}
-		out, err := m.Step(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := replay(t, m, in)
 		s := ""
 		for _, po := range nl.POs {
-			if out[nl.Nets[po].Name]&1 != 0 {
+			if out(0, nl.Nets[po].Name)&1 != 0 {
 				s += "1"
 			} else {
 				s += "0"

@@ -44,12 +44,16 @@ func TestParseFullAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Step(map[string]uint64{"a": 1, "b": 1, "cin": 1})
+	if err := m.BindNames([]string{"a", "b", "cin"}); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := m.POCols([]string{"sum", "cout"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["sum"]&1 != 1 || out["cout"]&1 != 1 {
-		t.Fatalf("1+1+1 gave sum=%d cout=%d", out["sum"]&1, out["cout"]&1)
+	tr := m.RunTrace([][]uint64{{1, 1, 1}})
+	if sum, cout := tr.Out(0, cols[0]), tr.Out(0, cols[1]); sum&1 != 1 || cout&1 != 1 {
+		t.Fatalf("1+1+1 gave sum=%d cout=%d", sum&1, cout&1)
 	}
 }
 
@@ -98,12 +102,17 @@ func TestParseConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Step(map[string]uint64{"a": ^uint64(0)})
+	if err := m.BindNames([]string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := m.POCols([]string{"one", "zero", "viaa"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["one"] != ^uint64(0) || out["zero"] != 0 || out["viaa"] != ^uint64(0) {
-		t.Fatalf("constants wrong: %v", out)
+	tr := m.RunTrace([][]uint64{{^uint64(0)}})
+	one, zero, viaa := tr.Out(0, cols[0]), tr.Out(0, cols[1]), tr.Out(0, cols[2])
+	if one != ^uint64(0) || zero != 0 || viaa != ^uint64(0) {
+		t.Fatalf("constants wrong: one=%#x zero=%#x viaa=%#x", one, zero, viaa)
 	}
 }
 
@@ -131,10 +140,17 @@ func TestParseOffsetPhase(t *testing.T) {
 			bw |= 1 << p
 		}
 	}
-	out, _ := m.Step(map[string]uint64{"a": aw, "b": bw})
+	if err := m.BindNames([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := m.POCols([]string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.RunTrace([][]uint64{{aw, bw}}).Out(0, cols[0])
 	for p := uint64(0); p < 4; p++ {
 		want := !(p&1 != 0 && p&2 != 0)
-		if (out["f"]&(1<<p) != 0) != want {
+		if (f&(1<<p) != 0) != want {
 			t.Fatalf("NAND wrong at %b", p)
 		}
 	}

@@ -85,9 +85,6 @@ func (co *Coordinator) Close() {
 	}
 }
 
-// Replica exposes one replica for tests and benchmarks.
-func (co *Coordinator) Replica(i int) *service.Service { return co.reps[i] }
-
 // Replicas is the replica count.
 func (co *Coordinator) Replicas() int { return len(co.reps) }
 

@@ -233,19 +233,23 @@ func outputsSnapshot(t *testing.T, l *Layout, seed int64) map[string]uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pis := l.NL.SortedPINames()
+	if err := m.BindNames(pis); err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(seed))
+	stim := make([][]uint64, 4)
+	for cyc := range stim {
+		stim[cyc] = make([]uint64, len(pis))
+		for j := range pis {
+			stim[cyc][j] = r.Uint64()
+		}
+	}
+	tr := m.RunTrace(stim)
 	out := make(map[string]uint64)
-	for cyc := 0; cyc < 4; cyc++ {
-		in := make(map[string]uint64)
-		for _, name := range l.NL.SortedPINames() {
-			in[name] = r.Uint64()
-		}
-		o, err := m.Step(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range o {
-			out[k] ^= v + uint64(cyc)
+	for cyc := range stim {
+		for i, name := range m.PONames() {
+			out[name] ^= tr.Out(cyc, i) + uint64(cyc)
 		}
 	}
 	return out

@@ -59,10 +59,6 @@ func (l *Layout) EnableTiming(m timing.Model) error {
 	return nil
 }
 
-// TimingEnabled reports whether an incremental timing engine is
-// attached.
-func (l *Layout) TimingEnabled() bool { return l.sta != nil }
-
 // CriticalDelay returns the current critical-path delay; ok is false
 // when timing is not enabled.
 func (l *Layout) CriticalDelay() (float64, bool) {

@@ -148,9 +148,6 @@ func (l *Layout) Rollback(cp Checkpoint) error {
 	return nil
 }
 
-// InTransaction reports whether a checkpoint is currently open.
-func (l *Layout) InTransaction() bool { return l.txnDepth > 0 }
-
 // ---------------------------------------------------------------- helpers
 //
 // All physical mutations inside transactions must go through these so

@@ -673,7 +673,7 @@ func (s *Session) compareStreams(seq [][]uint64, targets []netlist.NetID) ([]net
 }
 
 // Correction is the outcome of one correct step — a candidate-search
-// repair (Repair) or a golden-copy restoration (CorrectFromGolden).
+// repair (RepairWith) or a golden-copy restoration (correctFromGolden).
 type Correction struct {
 	// Fixed lists the repaired cell names.
 	Fixed []string
@@ -700,14 +700,15 @@ type Correction struct {
 	ECOVerified bool
 }
 
-// CorrectFromGolden repairs the implementation from the golden model:
+// correctFromGolden repairs the implementation from the golden model:
 // every suspect cell that differs from its golden counterpart (function
 // or wiring) is restored, the delta goes through tile-local
 // re-place-and-route, and detection re-runs to verify. If no suspect
 // differs, the full diff is consulted. This is diagnosis by answer key —
 // it reads the golden netlist's structure — and is kept as the fallback
-// for errors the candidate search (Repair) cannot explain.
-func (s *Session) CorrectFromGolden(diag *Diagnosis, det *Detection) (*Correction, error) {
+// for errors the candidate search (RepairWith) cannot explain; CorrectAuto
+// is its only caller.
+func (s *Session) correctFromGolden(diag *Diagnosis, det *Detection) (*Correction, error) {
 	if err := s.interrupted(); err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func TestCorrectRepairsDesign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cor, err := s.CorrectFromGolden(diag, det)
+		cor, err := s.correctFromGolden(diag, det)
 		if err != nil {
 			t.Fatal(err)
 		}

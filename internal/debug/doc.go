@@ -11,6 +11,6 @@
 // Correction searches candidate repairs of the suspect cells with the
 // lane-parallel engine in internal/repair — the golden model acts only as
 // a behavioural oracle — applies the winner as a tile-local engineering
-// change and re-verifies; CorrectFromGolden (copying the golden cell) is
-// kept as the fallback for errors the search cannot explain.
+// change and re-verifies; CorrectAuto falls back to copying the golden
+// cell for errors the search cannot explain.
 package debug

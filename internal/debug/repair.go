@@ -1,13 +1,13 @@
 package debug
 
 // The correction step, paper-faithful edition: instead of copying the
-// suspect cells' logic out of the golden netlist (CorrectFromGolden — an
-// answer-key shortcut), Repair searches the space of candidate
-// corrections with internal/repair. Candidates are validated Lanes() per
-// trace replay on the lanes of the shared compiled implementation
-// program, survivors are re-verified on an independent stimulus, and the
-// ranked winner is applied through the same tile-local ECO path every
-// other physical change takes — core.Layout.ApplyDelta plus an ECO
+// suspect cells' logic out of the golden netlist (correctFromGolden — an
+// answer-key shortcut kept only as CorrectAuto's fallback), RepairWith
+// searches the space of candidate corrections with internal/repair.
+// Candidates are validated Lanes() per trace replay on the lanes of the
+// shared compiled implementation program, survivors are re-verified on
+// an independent stimulus, and the ranked winner is applied through the
+// same tile-local ECO path every other physical change takes — core.Layout.ApplyDelta plus an ECO
 // sign-off replay against the session's compiled golden machine
 // (sim.EquivalentCompiled, no golden recompile). The golden design
 // is consulted only behaviourally (its primary-output streams, and the
@@ -36,17 +36,9 @@ const ecoVerifySeedOffset = 4242
 // a broadcast stimulus that cannot excite the error, a search with no
 // verified winner, or a winner the ECO sign-off rejected (applied, then
 // reverted in O(delta) through the layout transaction journal). Only
-// these are safe to fall back from (CorrectFromGolden); any other
-// Repair error must propagate.
+// these are safe to fall back from (correctFromGolden); any other
+// RepairWith error must propagate.
 var ErrRepairInconclusive = errors.New("repair search inconclusive")
-
-// Repair runs the repair-candidate search for a diagnosis and applies
-// the winning correction tile-locally. It compiles the current
-// implementation netlist into the candidate program; RepairWith accepts
-// a pre-compiled (cached) one.
-func (s *Session) Repair(diag *Diagnosis, det *Detection) (*Correction, error) {
-	return s.RepairWith(diag, det, nil)
-}
 
 // CorrectAuto is the one place holding the fallback rule: try the
 // candidate-search repair, and only when the search was inconclusive —
@@ -62,21 +54,23 @@ func (s *Session) CorrectAuto(diag *Diagnosis, det *Detection, prog *sim.Machine
 		return nil, false, err
 	}
 	s.emit("repair", 0, "candidate search inconclusive (%v) — golden-copy fallback", err)
-	cor, err = s.CorrectFromGolden(diag, det)
+	cor, err = s.correctFromGolden(diag, det)
 	return cor, true, err
 }
 
-// RepairWith is Repair with an optional pre-compiled candidate program.
-// prog must have been compiled from (a clone of) the session's current
-// implementation netlist — the campaign service passes a fork of its
-// cached program when localization left the netlist untouched — and nil
-// compiles one here. The winner is applied inside a layout transaction:
+// RepairWith runs the repair-candidate search for a diagnosis and
+// applies the winning correction tile-locally. prog is an optional
+// pre-compiled candidate program; it must have been compiled from (a
+// clone of) the session's current implementation netlist, and nil
+// compiles one here at SimWidth. The campaign loop (RunLoopCore) passes
+// nil; the benchmark's traced replay passes its own compiled program
+// through CorrectAuto. The winner is applied inside a layout transaction:
 // on success it is committed and the returned Correction carries the
 // search statistics; when the independent ECO sign-off replay finds a
 // divergence the repair is rolled back in O(delta) and the error wraps
 // ErrRepairInconclusive. An error wrapping ErrRepairInconclusive always
 // means nothing remains applied and the caller may fall back to
-// CorrectFromGolden; any other error must not be papered over with a
+// correctFromGolden; any other error must not be papered over with a
 // fallback.
 func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine) (*Correction, error) {
 	if err := s.interrupted(); err != nil {

@@ -120,7 +120,7 @@ func TestRepairCampaignMeetsBars(t *testing.T) {
 			benchImpl, benchSuspects = impl.NL.Clone(), diag.Suspects
 		}
 		attempted++
-		cor, err := sess.Repair(diag, det)
+		cor, err := sess.RepairWith(diag, det, nil)
 		if errors.Is(err, ErrRepairInconclusive) {
 			continue
 		}

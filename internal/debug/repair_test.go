@@ -52,7 +52,7 @@ func TestRepairFixesInjectedErrors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cor, err := s.Repair(diag, det)
+				cor, err := s.RepairWith(diag, det, nil)
 				if err != nil {
 					t.Logf("seed %d: repair inconclusive (%v), trying next seed", seed, err)
 					continue

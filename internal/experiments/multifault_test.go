@@ -25,7 +25,9 @@ func TestMultiFaultCampaignBars(t *testing.T) {
 				r.Design, 100*r.PairDiagRate, r)
 		}
 	}
-	if FormatMultiFault(rows) == "" {
+	table := FormatMultiFault(rows)
+	if table == "" {
 		t.Fatal("empty rendering")
 	}
+	t.Log("\n" + table)
 }

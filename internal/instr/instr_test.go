@@ -52,14 +52,20 @@ func TestInsertMISRSignatureDiffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for cyc := 0; cyc < 8; cyc++ {
-			if _, err := mach.Step(map[string]uint64{"a": 0xaaaa, "b": 0x00ff, "c": 0x0f0f}); err != nil {
-				t.Fatal(err)
-			}
+		if err := mach.BindNames([]string{"a", "b", "c"}); err != nil {
+			t.Fatal(err)
 		}
+		if err := mach.Probe(m.State...); err != nil {
+			t.Fatal(err)
+		}
+		stim := make([][]uint64, 8)
+		for cyc := range stim {
+			stim[cyc] = []uint64{0xaaaa, 0x00ff, 0x0f0f}
+		}
+		tr := mach.RunTrace(stim)
 		var sig []uint64
-		for _, s := range m.State {
-			sig = append(sig, mach.NetByID(s))
+		for i := range m.State {
+			sig = append(sig, tr.ProbeVal(tr.Cycles-1, i))
 		}
 		return sig
 	}
@@ -132,29 +138,27 @@ func TestControlPointForcesValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Normal mode (sel=0): y = (a^b)&c.
-	out, err := mach.Step(map[string]uint64{"a": ^uint64(0), "b": 0, "c": ^uint64(0), "cp_sel": 0, "cp_val": 0})
+	if err := mach.BindNames([]string{"a", "b", "c", "cp_sel", "cp_val"}); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := mach.POCols([]string{"y"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["y"] != ^uint64(0) {
-		t.Fatalf("normal mode broken: y=%x", out["y"])
+	const ones = ^uint64(0)
+	tr := mach.RunTrace([][]uint64{
+		{ones, 0, ones, 0, 0},    // normal mode (sel=0): y = (a^b)&c
+		{ones, 0, ones, ones, 0}, // force mode: x forced to 0 regardless of a,b
+		{0, 0, ones, ones, ones}, // force mode: x forced to 1
+	})
+	if y := tr.Out(0, cols[0]); y != ones {
+		t.Fatalf("normal mode broken: y=%x", y)
 	}
-	// Force mode: x forced to 0 regardless of a,b.
-	out, err = mach.Step(map[string]uint64{"a": ^uint64(0), "b": 0, "c": ^uint64(0), "cp_sel": ^uint64(0), "cp_val": 0})
-	if err != nil {
-		t.Fatal(err)
+	if y := tr.Out(1, cols[0]); y != 0 {
+		t.Fatalf("force-0 failed: y=%x", y)
 	}
-	if out["y"] != 0 {
-		t.Fatalf("force-0 failed: y=%x", out["y"])
-	}
-	// Force mode: x forced to 1.
-	out, err = mach.Step(map[string]uint64{"a": 0, "b": 0, "c": ^uint64(0), "cp_sel": ^uint64(0), "cp_val": ^uint64(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["y"] != ^uint64(0) {
-		t.Fatalf("force-1 failed: y=%x", out["y"])
+	if y := tr.Out(2, cols[0]); y != ones {
+		t.Fatalf("force-1 failed: y=%x", y)
 	}
 	if len(cp.Cells) != 1 {
 		t.Fatalf("expected 1 mux cell, got %d", len(cp.Cells))

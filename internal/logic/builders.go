@@ -111,10 +111,6 @@ func EqConst(n int, k uint64) Cover {
 	return Cover{N: n, Cubes: []Cube{CubeOfMinterm(n, k)}}
 }
 
-// FullAdderSum returns the sum output of a full adder over (a, b, cin) —
-// 3-input parity.
-func FullAdderSum() Cover { return XorN(3) }
-
 // TTFromWord4 builds a 4-variable truth table from its 16-bit configuration
 // word, the inverse of TT.Word4.
 func TTFromWord4(w uint16) TT {

@@ -121,17 +121,6 @@ func (c Cover) Or(d Cover) Cover {
 	return out
 }
 
-// AndCube distributes a cube over the cover, dropping emptied products.
-func (c Cover) AndCube(k Cube) Cover {
-	out := Cover{N: c.N, Cubes: make([]Cube, 0, len(c.Cubes))}
-	for _, cu := range c.Cubes {
-		if p, ok := cu.And(k); ok {
-			out.Cubes = append(out.Cubes, p)
-		}
-	}
-	return out
-}
-
 // And returns the product of two covers (cross product of cube lists with
 // single-cube containment cleanup). The result can be quadratically larger
 // than the inputs; callers working with wide covers should prefer

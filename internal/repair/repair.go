@@ -207,22 +207,6 @@ func (e *Engine) Netlist() *netlist.Netlist { return e.impl.Netlist() }
 // NumPIs returns the stimulus column count (golden primary inputs).
 func (e *Engine) NumPIs() int { return len(e.piNames) }
 
-// newImplFork returns a fresh implementation machine configured like
-// e.impl (binding and zero-pinned extra inputs) — used for observation
-// replays so probe configuration never leaks into the batch machine.
-func (e *Engine) newImplFork() (*sim.Machine, error) {
-	f := e.impl.Fork()
-	if err := f.BindNames(e.piNames); err != nil {
-		return nil, err
-	}
-	for _, id := range e.implOnlyPIs {
-		if err := f.SetOverride(id, 0); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
 // ttWord returns the low 2^k-bit truth-table word of a ≤4-input LUT
 // function.
 func ttWord(f logic.Cover) (uint16, int, bool) {

@@ -10,19 +10,15 @@
 // over a preallocated scratch buffer. Primary inputs, primary outputs and
 // flip-flops are resolved to dense index tables once at compile time.
 //
-// Two calling conventions are offered:
-//
-//   - The ID-based batch API — Slots/Bind, Probe, RunTrace — drives a
-//     whole clocked stimulus sequence with zero per-cycle allocations and
-//     is what every hot path in this repository uses (see DESIGN.md §3).
-//   - The name/map API — SetPI, Step, Outputs, Net — is a thin
-//     compatibility shim kept for external callers and tests; it pays a
-//     map allocation and string hashing per cycle.
+// Callers resolve names to IDs once (Slots/Bind, POCols, Probe) and
+// RunTrace drives a whole clocked stimulus sequence with zero per-cycle
+// allocations (see DESIGN.md §3). The map-driven ReferenceMachine is kept
+// only as the oracle the compiled core is regression-tested against.
 //
 // The paper runs designs on FPGA emulation hardware; this simulator plays
 // that role (see DESIGN.md §3). Detection compares outputs against a
 // golden model, and localization probes internal nets — both map directly
-// onto the trace API (and, in shim form, Machine.Out and Machine.Net).
+// onto the trace API.
 //
 // The lanes also serve as independent mutants under a broadcast
 // stimulus: SetLaneFault arms per-lane fault perturbations (stuck-ats,

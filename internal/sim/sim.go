@@ -340,9 +340,6 @@ func (m *Machine) buildBlockOffsets() {
 // Netlist returns the compiled design.
 func (m *Machine) Netlist() *netlist.Netlist { return m.nl }
 
-// NumDFFs returns the number of compiled flip-flops.
-func (m *Machine) NumDFFs() int { return len(m.dffQ) }
-
 // Width returns the lane-vector width: 64-pattern words per net.
 func (m *Machine) Width() int { return m.width }
 
@@ -413,8 +410,8 @@ func (m *Machine) Eval() {
 }
 
 // Clock latches every DFF's D input into its state. Callers should have
-// called Eval first; the usual cycle is SetPIs → Eval → read outputs →
-// Clock.
+// called Eval first; the usual cycle is load inputs → Eval → read
+// outputs → Clock, which RunTrace performs per stimulus row.
 func (m *Machine) Clock() { m.clock() }
 
 // clock is Clock reporting whether the edge changed any state word: the
@@ -443,12 +440,6 @@ func (m *Machine) clock() uint64 {
 	}
 	return diff
 }
-
-// CycleIndex returns the trace cycle the next Eval will evaluate: 0
-// after Reset, incremented by every Clock. Windowed lane faults (see
-// LaneFault.From/To) arm against this counter, so ResumeTraceInto
-// continues a window where the previous segment left off.
-func (m *Machine) CycleIndex() int { return int(m.cycle) }
 
 // SetOverride pins a net to a fixed 64-pattern word — broadcast across
 // all lane words of a widened machine — for every subsequent Eval (and
@@ -518,94 +509,10 @@ func (m *Machine) Overridden(id netlist.NetID) (uint64, bool) {
 	return m.ovVal[int(m.ovIdx[id])*m.width], true
 }
 
-// ---------------------------------------------------------------- shim
-//
-// The name/map API below predates the trace API. It is kept as a
-// compatibility layer: correct, convenient for one-off probing and tests,
-// and deliberately unoptimized (per-cycle map allocation and string
-// hashing). Hot paths should use Slots/Bind/RunTrace — and OutputsInto
-// instead of Outputs when a per-cycle output snapshot is needed without
-// the map allocation. On widened machines the scalar shim addresses lane
-// word 0; SetPI broadcasts its word across the lane vector.
-
-// SetPI drives a primary input net with a 64-pattern word (broadcast
-// across all lane words of a widened machine).
-func (m *Machine) SetPI(name string, w uint64) error {
-	id, ok := m.nl.NetByName(name)
-	if !ok {
-		return fmt.Errorf("sim: no net %q", name)
-	}
-	if !m.nl.IsPI(id) {
-		return fmt.Errorf("sim: net %q is not a primary input", name)
-	}
-	for i := int(id) * m.width; i < int(id)*m.width+m.width; i++ {
-		m.val[i] = w
-	}
-	return nil
-}
-
-// SetPIs drives several primary inputs at once.
-func (m *Machine) SetPIs(in map[string]uint64) error {
-	for name, w := range in {
-		if err := m.SetPI(name, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Step is the common SetPIs → Eval → Clock cycle, returning the primary
-// output words observed before the clock edge.
-func (m *Machine) Step(in map[string]uint64) (map[string]uint64, error) {
-	if err := m.SetPIs(in); err != nil {
-		return nil, err
-	}
-	m.Eval()
-	out := m.Outputs()
-	m.Clock()
-	return out, nil
-}
-
-// Net probes any net by name — the software analogue of attaching
-// observation logic. Wide machines report lane word 0.
-func (m *Machine) Net(name string) (uint64, error) {
-	id, ok := m.nl.NetByName(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: no net %q", name)
-	}
-	return m.val[int(id)*m.width], nil
-}
-
-// NetByID probes a net by ID (lane word 0 on wide machines).
-func (m *Machine) NetByID(id netlist.NetID) uint64 { return m.val[int(id)*m.width] }
-
-// Out returns a primary output word by name (lane word 0).
-func (m *Machine) Out(name string) (uint64, error) {
-	id, ok := m.nl.NetByName(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: no net %q", name)
-	}
-	if !m.nl.IsPO(id) {
-		return 0, fmt.Errorf("sim: net %q is not a primary output", name)
-	}
-	return m.val[int(id)*m.width], nil
-}
-
-// Outputs returns all primary output words keyed by name (lane word 0 on
-// wide machines). It allocates a map per call; hot paths use OutputsInto.
-func (m *Machine) Outputs() map[string]uint64 {
-	out := make(map[string]uint64, len(m.pos))
-	for i, po := range m.pos {
-		out[m.poNames[i]] = m.val[int(po)*m.width]
-	}
-	return out
-}
-
 // OutputsInto writes every primary output lane vector into dst — PO i's
 // Width() words at dst[i*Width():(i+1)*Width()], in PONames order — and
 // returns it, reusing dst's capacity when it suffices. In steady state
-// the call performs zero allocations; it is the allocation-free
-// replacement for the Outputs map in per-cycle loops.
+// the call performs zero allocations.
 func (m *Machine) OutputsInto(dst []uint64) []uint64 {
 	W := m.width
 	need := len(m.pos) * W

@@ -23,6 +23,21 @@ func fullAdder(t testing.TB) *netlist.Netlist {
 	return n
 }
 
+// fullAdderOuts evaluates one cycle of a full-adder machine and returns
+// its sum and carry words.
+func fullAdderOuts(t testing.TB, m *Machine, a, b, cin uint64) (sum, cout uint64) {
+	t.Helper()
+	if err := m.BindNames([]string{"a", "b", "cin"}); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := m.POCols([]string{"sum", "cout"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.RunTrace([][]uint64{{a, b, cin}})
+	return tr.Out(0, cols[0]), tr.Out(0, cols[1])
+}
+
 func TestCombinationalFullAdder(t *testing.T) {
 	m, err := Compile(fullAdder(t))
 	if err != nil {
@@ -41,18 +56,15 @@ func TestCombinationalFullAdder(t *testing.T) {
 			cw |= 1 << p
 		}
 	}
-	out, err := m.Step(map[string]uint64{"a": aw, "b": bw, "cin": cw})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum, cout := fullAdderOuts(t, m, aw, bw, cw)
 	for p := uint64(0); p < 8; p++ {
 		abits := int(p&1) + int(p>>1&1) + int(p>>2&1)
 		wantSum := abits%2 == 1
 		wantCout := abits >= 2
-		if (out["sum"]&(1<<p) != 0) != wantSum {
+		if (sum&(1<<p) != 0) != wantSum {
 			t.Fatalf("sum wrong at pattern %d", p)
 		}
-		if (out["cout"]&(1<<p) != 0) != wantCout {
+		if (cout&(1<<p) != 0) != wantCout {
 			t.Fatalf("cout wrong at pattern %d", p)
 		}
 	}
@@ -78,17 +90,18 @@ func TestSequentialCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols, err := m.POCols([]string{"q0", "q1"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []uint64{0, 1, 2, 3, 0, 1, 2, 3}
+	tr := m.RunTrace(make([][]uint64, len(want)))
 	for cyc, w := range want {
-		out, err := m.Step(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got := uint64(0)
-		if out["q0"]&1 != 0 {
+		if tr.Out(cyc, cols[0])&1 != 0 {
 			got |= 1
 		}
-		if out["q1"]&1 != 0 {
+		if tr.Out(cyc, cols[1])&1 != 0 {
 			got |= 2
 		}
 		if got != w {
@@ -108,37 +121,35 @@ func TestDFFInitValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := m.Step(nil)
-	if out["q"] != ^uint64(0) {
-		t.Fatalf("init-1 DFF reads %x", out["q"])
+	out := m.RunTrace(make([][]uint64, 1)).Out(0, 0)
+	if out != ^uint64(0) {
+		t.Fatalf("init-1 DFF reads %x", out)
 	}
 	m.Reset()
-	out, _ = m.Step(nil)
-	if out["q"] != ^uint64(0) {
-		t.Fatalf("after reset reads %x", out["q"])
+	out = m.ResumeTraceInto(new(Trace), make([][]uint64, 1)).Out(0, 0)
+	if out != ^uint64(0) {
+		t.Fatalf("after reset reads %x", out)
 	}
 }
 
 func TestNetProbe(t *testing.T) {
-	m, err := Compile(fullAdder(t))
+	n := fullAdder(t)
+	m, err := Compile(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step(map[string]uint64{"a": 1, "b": 1, "cin": 0}); err != nil {
+	sum, _ := n.NetByName("sum")
+	if err := m.Probe(sum); err != nil {
 		t.Fatal(err)
 	}
-	w, err := m.Net("sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w&1 != 0 {
+	if w := m.RunTrace([][]uint64{{1, 1, 0}}).ProbeVal(0, 0); w&1 != 0 {
 		t.Fatal("1+1 sum bit should be 0")
 	}
-	if _, err := m.Net("nosuch"); err == nil {
+	if err := m.Probe(netlist.NetID(len(n.Nets))); err == nil {
 		t.Fatal("probe of missing net should fail")
 	}
-	if _, err := m.Out("a"); err == nil {
-		t.Fatal("Out on a non-PO should fail")
+	if _, err := m.POCols([]string{"a"}); err == nil {
+		t.Fatal("reading a non-PO as an output should fail")
 	}
 }
 
@@ -147,10 +158,10 @@ func TestSetPIErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetPI("sum", 1); err == nil {
+	if err := m.BindNames([]string{"sum"}); err == nil {
 		t.Fatal("driving a non-PI should fail")
 	}
-	if err := m.SetPI("missing", 1); err == nil {
+	if err := m.BindNames([]string{"missing"}); err == nil {
 		t.Fatal("driving a missing net should fail")
 	}
 }
@@ -253,10 +264,7 @@ func TestBitParallelMatchesScalar(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(99))
 	aw, bw, cw := r.Uint64(), r.Uint64(), r.Uint64()
-	out, err := m.Step(map[string]uint64{"a": aw, "b": bw, "cin": cw})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum, cout := fullAdderOuts(t, m, aw, bw, cw)
 	for p := 0; p < 64; p++ {
 		bitsSet := 0
 		if aw&(1<<p) != 0 {
@@ -268,10 +276,10 @@ func TestBitParallelMatchesScalar(t *testing.T) {
 		if cw&(1<<p) != 0 {
 			bitsSet++
 		}
-		if (out["sum"]&(1<<p) != 0) != (bitsSet%2 == 1) {
+		if (sum&(1<<p) != 0) != (bitsSet%2 == 1) {
 			t.Fatalf("scalar cross-check failed at pattern %d", p)
 		}
-		if (out["cout"]&(1<<p) != 0) != (bitsSet >= 2) {
+		if (cout&(1<<p) != 0) != (bitsSet >= 2) {
 			t.Fatalf("cout cross-check failed at pattern %d", p)
 		}
 	}

@@ -92,7 +92,7 @@ func (m *Machine) ClearProbes() { m.probes = nil }
 
 // CaptureState toggles recording of the flip-flop state stream into
 // Trace.States (one word per DFF per cycle, sampled after the clock edge,
-// matching StateWords after Step).
+// matching StateWords after Eval and Clock).
 func (m *Machine) CaptureState(on bool) { m.captureState = on }
 
 // POCols resolves primary output names to Trace column indices.

@@ -27,8 +27,8 @@ func TestRunTraceMatchesStepOnFullAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay through the map shim and compare.
-	m2, err := Compile(n)
+	// Replay through the reference interpreter and compare.
+	m2, err := CompileReference(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +134,8 @@ func TestStateCaptureMatchesStateWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 6; c++ {
-		if _, err := m2.Step(nil); err != nil {
-			t.Fatal(err)
-		}
+		m2.Eval()
+		m2.Clock()
 		sw := m2.StateWords()
 		for i := range sw {
 			if tr.State(c, i) != sw[i] {
@@ -186,14 +185,14 @@ func TestOverrideHonoredByExecutionCore(t *testing.T) {
 	if err := m.SetOverride(x, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Step(map[string]uint64{"a": 0, "b": 0})
-	if err != nil {
+	if err := m.Probe(x); err != nil {
 		t.Fatal(err)
 	}
-	if out["y"] != 0 {
-		t.Fatalf("override not observed downstream: y = %#x, want 0", out["y"])
+	tr := m.RunTrace([][]uint64{{0, 0}})
+	if got := tr.Out(0, 0); got != 0 {
+		t.Fatalf("override not observed downstream: y = %#x, want 0", got)
 	}
-	if got := m.NetByID(x); got != ^uint64(0) {
+	if got := tr.ProbeVal(0, 0); got != ^uint64(0) {
 		t.Fatalf("overridden net reads %#x", got)
 	}
 	if w, ok := m.Overridden(x); !ok || w != ^uint64(0) {
@@ -208,7 +207,7 @@ func TestOverrideHonoredByExecutionCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols, _ := m.POCols([]string{"y"})
-	tr := m.RunTrace([][]uint64{{0, ^uint64(0)}}) // stimulus says a=0, override says a=1
+	tr = m.RunTrace([][]uint64{{0, ^uint64(0)}}) // stimulus says a=0, override says a=1
 	if got := tr.Out(0, cols[0]); got != 0 {
 		t.Fatalf("PI override lost: y = %#x, want 0", got)
 	}

@@ -288,29 +288,25 @@ func TestForkPreservesWidth(t *testing.T) {
 	}
 }
 
-// TestOutputsInto checks the allocation-free output snapshot against the
-// map shim at width 1 and against per-word trace reads at width 4.
+// TestOutputsInto checks the allocation-free output snapshot against
+// trace reads, at width 1 and per word at width 4.
 func TestOutputsInto(t *testing.T) {
 	nl := laneTestNetlist(t)
 	m, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetPI("a", 0xF0); err != nil {
+	if err := m.BindNames([]string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetPI("b", 0xCC); err != nil {
-		t.Fatal(err)
-	}
-	m.Eval()
-	byName := m.Outputs()
+	tr1 := m.RunTrace([][]uint64{{0xF0, 0xCC}})
 	flat := m.OutputsInto(nil)
 	if len(flat) != len(m.PONames()) {
 		t.Fatalf("OutputsInto length %d, want %d", len(flat), len(m.PONames()))
 	}
 	for i, name := range m.PONames() {
-		if flat[i] != byName[name] {
-			t.Fatalf("PO %q: OutputsInto %#x != Outputs %#x", name, flat[i], byName[name])
+		if flat[i] != tr1.Out(0, i) {
+			t.Fatalf("PO %q: OutputsInto %#x != trace %#x", name, flat[i], tr1.Out(0, i))
 		}
 	}
 	// Reuse: same backing array, no growth.

@@ -122,22 +122,6 @@ func SequenceBlocks(cols, length int, seed uint64) [][]uint64 {
 	return out
 }
 
-// HoldingBlocks returns random stimulus where the columns named in hold
-// are pinned to fixed words while the rest stay random — the pattern
-// shape used with control points (hold the force inputs, randomize the
-// functional ones).
-func HoldingBlocks(cols int, hold map[int]uint64, nWords int, seed int64) [][]uint64 {
-	out := RandomBlocks(cols, nWords, seed)
-	for _, row := range out {
-		for j, v := range hold {
-			if j >= 0 && j < len(row) {
-				row[j] = v
-			}
-		}
-	}
-	return out
-}
-
 // Repeat expands a block sequence into a clocked one: each row is held
 // for cycles consecutive clock cycles (rows are shared, not copied).
 func Repeat(blocks [][]uint64, cycles int) [][]uint64 {
