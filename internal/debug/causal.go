@@ -6,7 +6,6 @@ import (
 
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
-	"fpgadbg/internal/sim"
 )
 
 // causalRank implements the causal-chain localizer: one replay of the
@@ -43,32 +42,12 @@ func (s *Session) causalRank(det *Detection, suspects map[string]bool) (rank map
 	if err != nil {
 		return nil, nil, err
 	}
-	csp := s.Obs.Start(obs.StageCompile)
-	mi, err := sim.Compile(nl)
-	csp.End()
+	mi, err := s.implMachine()
 	if err != nil {
-		return nil, nil, fmt.Errorf("debug: impl: %w", err)
+		return nil, nil, err
 	}
-	piNames := s.Golden.SortedPINames()
-	if err := mg.BindNames(piNames); err != nil {
+	if err := mg.BindNames(s.Golden.SortedPINames()); err != nil {
 		return nil, nil, fmt.Errorf("debug: golden: %w", err)
-	}
-	if err := mi.BindNames(piNames); err != nil {
-		return nil, nil, fmt.Errorf("debug: impl: %w", err)
-	}
-	goldenPI := make(map[string]bool, len(piNames))
-	for _, n := range piNames {
-		goldenPI[n] = true
-	}
-	for _, n := range nl.SortedPINames() {
-		if goldenPI[n] {
-			continue
-		}
-		if id, ok := nl.NetByName(n); ok {
-			if err := mi.SetOverride(id, 0); err != nil {
-				return nil, nil, fmt.Errorf("debug: impl: %w", err)
-			}
-		}
 	}
 
 	// Observe every net a divergence decision needs: each suspect's

@@ -109,11 +109,21 @@ type Session struct {
 
 	misrSeq int
 	// golden is the compiled golden machine, reused across replays (the
-	// golden netlist never mutates; the implementation does, so it is
-	// recompiled per comparison).
+	// golden netlist never mutates).
 	golden *sim.Machine
 	// goldenFP caches the golden netlist's fingerprint for trace keys.
 	goldenFP string
+	// impl is the compiled implementation program of the layout netlist
+	// as it stood at Version implVer; every replay forks it, and it is
+	// recompiled only once the netlist has changed (an ECO commit, a MISR
+	// insertion, a rollback). implFP is the content fingerprint of the
+	// netlist at Version fpVer, keying the repair search's implementation
+	// memo; fpNL and implNL guard against a swapped Layout.NL.
+	impl         *sim.Machine
+	implNL, fpNL *netlist.Netlist
+	implVer      uint64
+	implFP       string
+	fpVer        uint64
 }
 
 // NewSession pairs a golden netlist with an implementation layout. The
@@ -137,6 +147,75 @@ func (s *Session) SetGoldenMachine(m *sim.Machine) { s.golden = m }
 // golden netlist for trace-cache keys, saving the per-session hash when
 // the caller (the campaign service) already has it.
 func (s *Session) SetGoldenFingerprint(fp string) { s.goldenFP = fp }
+
+// SetImplFingerprint supplies a content fingerprint of the layout
+// netlist as it stands now, keying the repair search's implementation
+// memo until the netlist first changes; later states are hashed when a
+// search needs them. Two netlists may share a fingerprint only if they
+// behave identically.
+func (s *Session) SetImplFingerprint(fp string) {
+	s.implFP, s.fpNL, s.fpVer = fp, s.Layout.NL, s.Layout.NL.Version()
+}
+
+// implFingerprint returns the content fingerprint of the layout netlist's
+// current state, hashing it once per state.
+func (s *Session) implFingerprint() string {
+	nl := s.Layout.NL
+	if s.implFP == "" || s.fpNL != nl || s.fpVer != nl.Version() {
+		s.SetImplFingerprint(nl.Fingerprint())
+	}
+	return s.implFP
+}
+
+// implProgram returns the compiled implementation program of the layout
+// netlist's current state, compiling it (a compile span) only when the
+// netlist changed since the last call. Callers fork it; forks must not
+// outlive the next netlist change.
+func (s *Session) implProgram() (*sim.Machine, error) {
+	nl := s.Layout.NL
+	if s.impl == nil || s.implNL != nl || s.implVer != nl.Version() {
+		csp := s.Obs.Start(obs.StageCompile)
+		m, err := sim.Compile(nl)
+		csp.End()
+		if err != nil {
+			return nil, fmt.Errorf("debug: impl: %w", err)
+		}
+		s.impl, s.implNL, s.implVer = m, nl, nl.Version()
+	}
+	return s.impl, nil
+}
+
+// implMachine returns a private width-1 fork of the implementation
+// program bound to the golden primary-input order, with
+// implementation-only inputs (inserted control points) pinned to zero
+// through the execution core's explicit override list.
+func (s *Session) implMachine() (*sim.Machine, error) {
+	prog, err := s.implProgram()
+	if err != nil {
+		return nil, err
+	}
+	mi := prog.Fork()
+	piNames := s.Golden.SortedPINames()
+	if err := mi.BindNames(piNames); err != nil {
+		return nil, fmt.Errorf("debug: impl: %w", err)
+	}
+	goldenPI := make(map[string]bool, len(piNames))
+	for _, n := range piNames {
+		goldenPI[n] = true
+	}
+	nl := s.Layout.NL
+	for _, n := range nl.SortedPINames() {
+		if goldenPI[n] {
+			continue
+		}
+		if id, ok := nl.NetByName(n); ok {
+			if err := mi.SetOverride(id, 0); err != nil {
+				return nil, fmt.Errorf("debug: impl: %w", err)
+			}
+		}
+	}
+	return mi, nil
+}
 
 // interrupted returns the context error once the session's context is
 // canceled; checked between replay and CAD steps.
@@ -252,36 +331,12 @@ func (s *Session) compare(seq [][]uint64, probeNames []string) (badPOs []string,
 	if err != nil {
 		return nil, nil, err
 	}
-	csp := s.Obs.Start(obs.StageCompile)
-	mi, err := sim.Compile(s.Layout.NL)
-	csp.End()
+	mi, err := s.implMachine()
 	if err != nil {
-		return nil, nil, fmt.Errorf("debug: impl: %w", err)
+		return nil, nil, err
 	}
-	piNames := s.Golden.SortedPINames()
-	if err := mg.BindNames(piNames); err != nil {
+	if err := mg.BindNames(s.Golden.SortedPINames()); err != nil {
 		return nil, nil, fmt.Errorf("debug: golden: %w", err)
-	}
-	if err := mi.BindNames(piNames); err != nil {
-		return nil, nil, fmt.Errorf("debug: impl: %w", err)
-	}
-	// Implementation-only PIs (inserted control points) are pinned to zero
-	// through the execution core's explicit override list.
-	goldenPI := make(map[string]bool, len(piNames))
-	for _, n := range piNames {
-		goldenPI[n] = true
-	}
-	for _, n := range s.Layout.NL.SortedPINames() {
-		if goldenPI[n] {
-			continue
-		}
-		id, ok := s.Layout.NL.NetByName(n)
-		if !ok {
-			continue
-		}
-		if err := mi.SetOverride(id, 0); err != nil {
-			return nil, nil, fmt.Errorf("debug: impl: %w", err)
-		}
 	}
 	poNames := s.Golden.SortedPONames()
 	gCols, err := mg.POCols(poNames)

@@ -20,8 +20,8 @@ import (
 
 	"fpgadbg/internal/faults"
 	"fpgadbg/internal/obs"
+	"fpgadbg/internal/repair"
 	"fpgadbg/internal/sim"
-	"fpgadbg/internal/testgen"
 )
 
 // FaultDict is a precomputed fault dictionary for one golden design under
@@ -54,7 +54,7 @@ type FaultDict struct {
 // classifying faults against a dictionary must use it with the
 // dictionary's exact parameters, or signatures stop being comparable.
 func DictStimulus(npi, words, cycles int, seed int64) [][]uint64 {
-	return testgen.Repeat(testgen.TransposeToScalar(testgen.RandomBlocks(npi, words, seed)), cycles)
+	return repair.BlockStimulus(npi, words, cycles, seed)
 }
 
 // BuildFaultDict enumerates the golden design's single-fault universe and
@@ -200,32 +200,13 @@ func (s *Session) observeSignature() (sig uint64, excited bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
-	csp := s.Obs.Start(obs.StageCompile)
-	mi, err := sim.Compile(s.Layout.NL)
-	csp.End()
+	mi, err := s.implMachine()
 	if err != nil {
-		return 0, false, fmt.Errorf("debug: impl: %w", err)
+		return 0, false, err
 	}
 	piNames := s.Golden.SortedPINames()
 	if err := mg.BindNames(piNames); err != nil {
 		return 0, false, fmt.Errorf("debug: golden: %w", err)
-	}
-	if err := mi.BindNames(piNames); err != nil {
-		return 0, false, fmt.Errorf("debug: impl: %w", err)
-	}
-	goldenPI := make(map[string]bool, len(piNames))
-	for _, n := range piNames {
-		goldenPI[n] = true
-	}
-	for _, n := range s.Layout.NL.SortedPINames() {
-		if goldenPI[n] {
-			continue
-		}
-		if id, ok := s.Layout.NL.NetByName(n); ok {
-			if err := mi.SetOverride(id, 0); err != nil {
-				return 0, false, fmt.Errorf("debug: impl: %w", err)
-			}
-		}
 	}
 	// Signature PO order is the golden machine's trace column order — the
 	// same convention faults.Scan uses.

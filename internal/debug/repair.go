@@ -8,8 +8,8 @@ package debug
 // shared compiled implementation program, survivors are re-verified on
 // an independent stimulus, and the ranked winner is applied through the
 // same tile-local ECO path every other physical change takes — core.Layout.ApplyDelta plus an ECO
-// sign-off replay against the session's compiled golden machine
-// (sim.EquivalentCompiled, no golden recompile). The golden design
+// sign-off replay of the session's repaired implementation program
+// against its compiled golden machine (sim.EquivalentMachines). The golden design
 // is consulted only behaviourally (its primary-output streams, and the
 // same internal-net stream observation localization already performs),
 // through the session's golden oracle (repair.Oracle), which memoizes
@@ -61,8 +61,8 @@ func (s *Session) CorrectAuto(diag *Diagnosis, det *Detection, prog *sim.Machine
 // RepairWith runs the repair-candidate search for a diagnosis and
 // applies the winning correction tile-locally. prog is an optional
 // pre-compiled candidate program; it must have been compiled from (a
-// clone of) the session's current implementation netlist, and nil
-// compiles one here at SimWidth. The campaign loop (RunLoopCore) passes
+// clone of) the session's current implementation netlist, and nil forks
+// the session's implementation program at SimWidth. The campaign loop (RunLoopCore) passes
 // nil; the benchmark's traced replay passes its own compiled program
 // through CorrectAuto. The winner is applied inside a layout transaction:
 // on success it is committed and the returned Correction carries the
@@ -87,14 +87,10 @@ func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine)
 		return nil, err
 	}
 	if prog == nil {
-		w := s.SimWidth
-		if w < 1 {
-			w = 1
+		if prog, err = s.implProgram(); err != nil {
+			return nil, err
 		}
-		csp := s.Obs.Start(obs.StageCompile)
-		prog, err = sim.CompileWidth(s.Layout.NL, w)
-		csp.End()
-		if err != nil {
+		if prog, err = prog.ForkWidth(max(s.SimWidth, 1)); err != nil {
 			return nil, fmt.Errorf("debug: candidate program: %w", err)
 		}
 	}
@@ -106,10 +102,12 @@ func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine)
 		s.Oracle = repair.NewOracle(nil, "")
 	}
 	eng.SetOracle(s.Oracle)
+	eng.SetImplOracle(s.Oracle.ForImplementation(s.implFingerprint()))
 
 	// Validation stimulus: the scalar expansion of the detection blocks —
-	// the same broadcast family the fault dictionary observes under, so
-	// whatever detection excited, validation (largely) excites too.
+	// the same broadcast family the fault dictionary observes under
+	// (DictStimulus), so whatever detection excited, validation (largely)
+	// excites too.
 	words, cycles := det.Words, det.Cycles
 	if words < 1 {
 		words = 8
@@ -117,10 +115,9 @@ func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine)
 	if cycles < 1 {
 		cycles = 1
 	}
-	detB := DictStimulus(len(det.PIs), words, cycles, s.Seed)
 
 	s.emit("repair", 0, "searching candidate corrections for %d suspect(s)", len(diag.Suspects))
-	out, err := eng.Search(diag.Suspects, detB, repair.Config{
+	out, err := eng.SearchBlocks(diag.Suspects, words, cycles, s.Seed, repair.Config{
 		Seed:         s.Seed,
 		VerifyCycles: cycles,
 		OnBatch: func(done, total int) error {
@@ -168,8 +165,12 @@ func (s *Session) RepairWith(diag *Diagnosis, det *Detection, prog *sim.Machine)
 	// divergence means the candidate only explained the detection
 	// stimulus — revert it through the journal and report the search
 	// inconclusive, so nothing of the bad repair survives.
+	repaired, err := s.implProgram()
+	if err != nil {
+		return nil, rollback(err)
+	}
 	esp := s.Obs.Start(obs.StageEcoVerify)
-	mm, err := sim.EquivalentCompiled(mg, s.Layout.NL, words, cycles, s.Seed+ecoVerifySeedOffset)
+	mm, err := sim.EquivalentMachines(mg, repaired.Fork(), words, cycles, s.Seed+ecoVerifySeedOffset)
 	esp.End()
 	if err != nil {
 		return nil, rollback(fmt.Errorf("debug: eco verify: %w", err))

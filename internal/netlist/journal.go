@@ -114,11 +114,24 @@ func (n *Netlist) RollbackJournal(mark int) (cells []CellID, nets []NetID) {
 			n.netByName[op.name] = op.net
 		}
 	}
+	if mark < len(n.journal) {
+		n.version++
+	}
 	n.journal = n.journal[:mark]
 	return cells, nets
 }
 
+// Version returns the netlist's mutation counter: every mutating method
+// (the Add*, Set*, SwapFanin, MarkPO and Remove* family) and every
+// RollbackJournal that undoes anything bumps it, journaling on or off.
+// A compiled artifact tagged with the version it was derived from is
+// current while Version still returns that value — the check costs one
+// load, where a Fingerprint rehashes the whole netlist. Writes straight
+// to Cells or Nets fields bypass the counter. Clones start at zero.
+func (n *Netlist) Version() uint64 { return n.version }
+
 func (n *Netlist) record(op journalOp) {
+	n.version++
 	if n.journaling {
 		n.journal = append(n.journal, op)
 	}

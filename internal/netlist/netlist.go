@@ -83,6 +83,8 @@ type Netlist struct {
 	// journal.go. Clones start with an empty, disabled journal.
 	journal    []journalOp
 	journaling bool
+	// version counts mutations; see Version.
+	version uint64
 }
 
 // New returns an empty netlist.

@@ -29,14 +29,25 @@
 // it per (golden fingerprint, stimulus) as one bit per (step, net) —
 // broadcast stimulus keeps every golden lane equal, so one entry serves
 // every lane width — and records nets lazily, as callers ask for them.
-// An OracleStore shares entries between engines; the campaign service
-// backs it with its artifact cache. Stimuli must be broadcast: a word
-// that is neither 0 nor all-ones is rejected with ErrNotBroadcast. Survivors of the detection stimulus are re-validated on an
-// independent verification stimulus and ranked by minimality; the winner
-// is applied to the live netlist (Candidate.Apply) and flows through the
-// tile-local ECO path in internal/debug. SerialValidate replays the same
-// candidates one clone+recompile at a time and is both the differential
-// oracle (surviving sets must be identical) and the baseline the
-// lane-parallel speedup is measured against
+// A second Oracle (ForImplementation, installed with SetImplOracle)
+// memoizes the unrepaired implementation the same way, by prefix: an
+// entry covers the steps some replay needed and keeps the machine state
+// at its frontier, so the excitation check reads it warm and a longer
+// reader extends it window by window. With it a batch whose cells' fanout
+// cone is small replays only that cone (sim.Machine.ResumeConeInto),
+// reading the cone's boundary nets and the outputs outside it from the
+// memo; larger cones replay the whole program. An OracleStore shares
+// entries between engines, and also keeps the stimuli the search derives
+// (observation, verification, BlockStimulus) once per generator
+// parameter set, named by those parameters; the campaign service backs
+// it with its artifact cache. Caller-supplied stimuli must be broadcast:
+// a word that is neither 0 nor all-ones is rejected with ErrNotBroadcast.
+// Survivors of the detection stimulus are re-validated on an independent
+// verification stimulus and ranked by minimality; the winner is applied
+// to the live netlist (Candidate.Apply) and flows through the tile-local
+// ECO path in internal/debug. SerialValidate replays the same candidates
+// one clone+recompile at a time and is, with the whole-program replay,
+// the differential oracle (surviving sets must be identical) and the
+// baseline the lane-parallel speedup is measured against
 // (internal/debug TestRepairCampaignMeetsBars). See DESIGN.md §10.
 package repair

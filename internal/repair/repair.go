@@ -137,6 +137,9 @@ func (c Candidate) Apply(nl *netlist.Netlist) (netlist.CellID, error) {
 type Engine struct {
 	golden *sim.Machine // oracle fork
 	impl   *sim.Machine // candidate program fork, lanes patched per batch
+	// scalar is a width-1 fork of the implementation program replaying
+	// the unrepaired design into the implementation memo (impl.go).
+	scalar *sim.Machine
 
 	piNames []string // golden sorted PI names = stimulus column order
 	poNames []string // golden trace column order
@@ -144,13 +147,18 @@ type Engine struct {
 	// implOnlyPIs are pinned to zero on every implementation fork.
 	implOnlyPIs []netlist.NetID
 
-	tr sim.Trace // batch replay buffer, reused across batches
+	tr  sim.Trace // batch replay buffer, reused across batches
+	str sim.Trace // scalar memo replay buffer
 
-	// oracle serves every golden replay; gtr is its miss-replay buffer.
-	// oracleHits and oracleMisses count stream lookups for span attrs.
+	// oracle serves every golden replay and derived stimulus; gtr is its
+	// miss-replay buffer. implOracle memoizes the unrepaired
+	// implementation's replays. The counters count stream lookups for
+	// span attrs.
 	oracle                   *Oracle
+	implOracle               *Oracle
 	gtr                      sim.Trace
 	oracleHits, oracleMisses int64
+	implHits, implMisses     int64
 }
 
 // NewEngine pairs a golden oracle machine with the implementation's
@@ -159,14 +167,12 @@ type Engine struct {
 // netlist must name-match the layout netlist candidates will be applied
 // to.
 func NewEngine(golden, impl *sim.Machine) (*Engine, error) {
-	e := &Engine{golden: golden.Fork(), impl: impl.Fork(), oracle: NewOracle(nil, "")}
+	o := NewOracle(nil, "")
+	e := &Engine{golden: golden.Fork(), impl: impl.Fork(), oracle: o, implOracle: o.ForImplementation("")}
 	goldenNL := golden.Netlist()
 	e.piNames = goldenNL.SortedPINames()
 	if err := e.golden.BindNames(e.piNames); err != nil {
 		return nil, fmt.Errorf("repair: golden: %w", err)
-	}
-	if err := e.impl.BindNames(e.piNames); err != nil {
-		return nil, fmt.Errorf("repair: impl: %w", err)
 	}
 	goldenPI := make(map[string]bool, len(e.piNames))
 	for _, n := range e.piNames {
@@ -177,14 +183,12 @@ func NewEngine(golden, impl *sim.Machine) (*Engine, error) {
 		if goldenPI[n] {
 			continue
 		}
-		id, ok := implNL.NetByName(n)
-		if !ok {
-			continue
+		if id, ok := implNL.NetByName(n); ok {
+			e.implOnlyPIs = append(e.implOnlyPIs, id)
 		}
-		e.implOnlyPIs = append(e.implOnlyPIs, id)
-		if err := e.impl.SetOverride(id, 0); err != nil {
-			return nil, fmt.Errorf("repair: impl: %w", err)
-		}
+	}
+	if err := e.configureImpl(e.impl); err != nil {
+		return nil, err
 	}
 	e.poNames = e.golden.PONames()
 	iCols, err := e.impl.POCols(e.poNames)
@@ -257,10 +261,19 @@ func permuteTT(tt uint16, k, a, b int) uint16 {
 // table (first kind wins, in BitFlip < PinSwap < Resynth order). The
 // result is deterministic: suspects are processed in sorted order.
 func (e *Engine) Enumerate(suspects []string, obsStim [][]uint64) ([]Candidate, error) {
+	st, err := e.named(obsStim)
+	if err != nil {
+		return nil, err
+	}
+	return e.enumerate(suspects, st)
+}
+
+// sites returns the enumerable suspects in sorted order: live LUTs of at
+// most four inputs in the implementation.
+func (e *Engine) sites(suspects []string) []site {
 	names := append([]string(nil), suspects...)
 	sort.Strings(names)
 	nl := e.impl.Netlist()
-
 	var sites []site
 	for _, name := range names {
 		id, ok := nl.CellByName(name)
@@ -277,11 +290,16 @@ func (e *Engine) Enumerate(suspects []string, obsStim [][]uint64) ([]Candidate, 
 		}
 		sites = append(sites, site{name: name, id: id, cur: cur, k: k})
 	}
+	return sites
+}
 
+// enumerate is Enumerate with the observation stimulus named.
+func (e *Engine) enumerate(suspects []string, obs *stimulus) ([]Candidate, error) {
+	sites := e.sites(suspects)
 	resynth := map[string]uint16{}
-	if len(obsStim) > 0 && len(sites) > 0 {
+	if obs.steps > 0 && len(sites) > 0 {
 		var err error
-		resynth, err = e.observeTables(sites, obsStim)
+		resynth, err = e.observeTables(sites, obs)
 		if err != nil {
 			return nil, err
 		}
@@ -431,7 +449,7 @@ type site struct {
 // observations conflict (a rewired fanin makes the output no function of
 // the observed nets), produce no table; unobserved minterms keep the
 // implementation's current value.
-func (e *Engine) observeTables(sites []site, obsStim [][]uint64) (map[string]uint16, error) {
+func (e *Engine) observeTables(sites []site, obs *stimulus) (map[string]uint16, error) {
 	nl := e.impl.Netlist()
 	goldenNL := e.golden.Netlist()
 
@@ -466,7 +484,7 @@ func (e *Engine) observeTables(sites []site, obsStim [][]uint64) (map[string]uin
 		return map[string]uint16{}, nil
 	}
 
-	cols, err := e.streams(obsStim, names)
+	cols, err := e.goldenStreams(obs, names)
 	if err != nil {
 		return nil, fmt.Errorf("repair: observe: %w", err)
 	}
@@ -477,7 +495,7 @@ func (e *Engine) observeTables(sites []site, obsStim [][]uint64) (map[string]uin
 		s := sites[p.site]
 		var want, care uint16
 		conflict := false
-		for c := 0; c < len(obsStim) && !conflict; c++ {
+		for c := 0; c < obs.steps && !conflict; c++ {
 			m := 0
 			for j := 0; j < s.k; j++ {
 				m |= int(bit(cols[p.faninCol+j], c)) << uint(j)

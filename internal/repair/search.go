@@ -3,8 +3,10 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
 	"fpgadbg/internal/sim"
 	"fpgadbg/internal/testgen"
@@ -112,8 +114,33 @@ func (e *Engine) Validate(cands []Candidate, stim [][]uint64, onBatch func(done,
 // run-to-run noise of each other and 30–40% faster than replaying the
 // whole stimulus (2-vCPU x86-64 host); 64 sits in the flat middle and is
 // a multiple of the service's default hold lengths (2 and 4), so window
-// edges fall on pattern changes.
+// edges fall on pattern changes. It must stay a multiple of 64: the
+// implementation memo's frontiers fall on window edges, and readers rely
+// on those being stream-word boundaries (implStreams).
 const replayWindow = 64
+
+// maxConeShare is the largest fanout cone, as a share of the compiled
+// program's nodes, that validation replays on its own (validateCone); a
+// batch whose cells reach more replays the whole program. A cone replay
+// pays per step for its boundary loads and per window for the memo, so
+// its cost does not fall to its share. Measured per single-cell batch
+// with a warm memo (cone time ÷ whole-program time, 2048-step catalog
+// detection stimuli, 2-vCPU x86-64 host): at 64 lanes c880 0.3–0.7 at
+// share 0.07–0.09 and 1.1–1.2 at 0.52, c499 0.1 at 0.01 and 0.9–1.5 at
+// 0.44–0.45, s9234 0.6 at 0.43 and 0.7–1.0 from 0.52 up; at 256 lanes
+// the cone wins up to about 0.75. 0.4 keeps every measured 64-lane cone
+// below its whole-program replay.
+const maxConeShare = 0.4
+
+// replayMode picks how validate replays a batch. Campaigns use
+// replayAuto; the differential tests force either path.
+type replayMode uint8
+
+const (
+	replayAuto replayMode = iota // cone up to maxConeShare, else the whole program
+	replayFull                   // always the whole program
+	replayCone                   // always the cone
+)
 
 // replayUntil replays stim on the armed implementation program from
 // reset, replayWindow steps at a time, handing each window's trace (in
@@ -131,32 +158,73 @@ func (e *Engine) replayUntil(stim [][]uint64, more func(lo int) bool) (replayed 
 	return replayed
 }
 
+// validation is one validate pass: per-candidate survival plus
+// what the pass cost, for span attrs.
+type validation struct {
+	alive []bool
+	// batches counts armed lane batches; replayed the steps they replayed;
+	// coneNodes the nodes of the cones replayed instead of the whole
+	// program; fullProgram that some batch replayed the whole program.
+	batches, replayed, coneNodes int
+	fullProgram                  bool
+}
+
+// addAttrs records the pass on a repair-validate span.
+func (v *validation) addAttrs(sp *obs.Span, cands int) {
+	sp.Add("candidates-validated", int64(cands))
+	sp.Add("lane-batches", int64(v.batches))
+	sp.Add("replayed-cycles", int64(v.replayed))
+	sp.Add("cone-nodes", int64(v.coneNodes))
+	full := int64(0)
+	if v.fullProgram {
+		full = 1
+	}
+	sp.Add("full-program", full)
+}
+
 // validateAgainst is Validate with the golden primary-output streams
-// (e.poNames order) already read from the oracle, so the excitation
-// check and the detection pass of one Search share them. replayed counts
-// the implementation steps actually replayed across all batches.
+// (e.poNames order) already read from the oracle. replayed counts the
+// implementation steps actually replayed across all batches.
 func (e *Engine) validateAgainst(gt [][]uint64, cands []Candidate, stim [][]uint64, onBatch func(done, total int) error) (alive []bool, batches, replayed int, err error) {
+	st, err := e.named(stim)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	v, err := e.validate(gt, cands, st, onBatch, replayAuto)
+	return v.alive, v.batches, v.replayed, err
+}
+
+// validate scores cands against the golden primary-output streams gt
+// (e.poNames order), so the excitation check and the detection pass of
+// one Search share them. Each batch replays its cells' fanout cone
+// against the implementation memo when the cone is small (validateCone),
+// the whole patched program otherwise; both give every lane the verdict
+// of a whole-program replay.
+func (e *Engine) validate(gt [][]uint64, cands []Candidate, st *stimulus, onBatch func(done, total int) error, mode replayMode) (v validation, err error) {
 	nl := e.impl.Netlist()
-	alive = make([]bool, len(cands))
+	v.alive = make([]bool, len(cands))
 	lanes := e.impl.Lanes()
 	masks := make([]uint64, lanes/64) // one alive bit per lane, word-packed
 	total := (len(cands) + lanes - 1) / lanes
+	cells := make([]netlist.CellID, 0, lanes)
 	for base := 0; base < len(cands); base += lanes {
 		batch := cands[base:]
 		if len(batch) > lanes {
 			batch = batch[:lanes]
 		}
 		e.impl.ClearLaneFaults()
+		cells = cells[:0]
 		for lane, c := range batch {
 			id, ok := nl.CellByName(c.Cell)
 			if !ok {
-				return nil, batches, replayed, fmt.Errorf("repair: candidate cell %q vanished", c.Cell)
+				return v, fmt.Errorf("repair: candidate cell %q vanished", c.Cell)
 			}
 			if err := e.impl.SetLanePatch(lane, id, c.TT); err != nil {
-				return nil, batches, replayed, fmt.Errorf("repair: arming %s: %w", c.Describe(), err)
+				return v, fmt.Errorf("repair: arming %s: %w", c.Describe(), err)
 			}
+			cells = append(cells, id)
 		}
-		batches++
+		v.batches++
 		W := e.impl.Width()
 		for w := 0; w < W; w++ {
 			switch rem := len(batch) - w*64; {
@@ -168,35 +236,133 @@ func (e *Engine) validateAgainst(gt [][]uint64, cands []Candidate, stim [][]uint
 				masks[w] = 0
 			}
 		}
-		replayed += e.replayUntil(stim, func(lo int) bool {
-			anyLive := true
-			for c := 0; c < e.tr.Cycles && anyLive; c++ {
-				anyLive = false
-				for po, col := range e.iCols {
-					// Broadcast stimulus keeps the golden lane words equal,
-					// so one oracle bit covers every perturbed word.
-					g := goldenBit(gt[po], lo+c)
+		var cone *sim.Cone
+		if mode != replayFull {
+			if cone, err = e.impl.Cone(cells); err != nil {
+				return v, fmt.Errorf("repair: %w", err)
+			}
+			if mode == replayAuto && cone.Share() > maxConeShare {
+				cone = nil
+			}
+		}
+		if cone != nil {
+			n, err := e.validateCone(gt, st, cone, masks)
+			if err != nil {
+				return v, err
+			}
+			v.replayed += n
+			v.coneNodes += cone.Nodes()
+		} else {
+			v.fullProgram = true
+			v.replayed += e.replayUntil(st.Rows(), func(lo int) bool {
+				anyLive := true
+				for c := 0; c < e.tr.Cycles && anyLive; c++ {
+					anyLive = false
+					for po, col := range e.iCols {
+						// Broadcast stimulus keeps the golden lane words equal,
+						// so one oracle bit covers every perturbed word.
+						g := goldenBit(gt[po], lo+c)
+						for w := 0; w < W; w++ {
+							masks[w] &^= e.tr.OutW(c, col, w) ^ g
+						}
+					}
 					for w := 0; w < W; w++ {
-						masks[w] &^= e.tr.OutW(c, col, w) ^ g
+						anyLive = anyLive || masks[w] != 0
 					}
 				}
-				for w := 0; w < W; w++ {
-					anyLive = anyLive || masks[w] != 0
-				}
-			}
-			return anyLive
-		})
+				return anyLive
+			})
+		}
 		for lane := range batch {
-			alive[base+lane] = masks[lane/64]>>uint(lane&63)&1 != 0
+			v.alive[base+lane] = masks[lane/64]>>uint(lane&63)&1 != 0
 		}
 		if onBatch != nil {
-			if err := onBatch(batches, total); err != nil {
-				return nil, batches, replayed, err
+			if err := onBatch(v.batches, total); err != nil {
+				return v, err
 			}
 		}
 	}
 	e.impl.ClearLaneFaults()
-	return alive, batches, replayed, nil
+	return v, nil
+}
+
+// validateCone scores one armed batch by replaying only its cells' fanout
+// cone. The cone's boundary nets and the primary outputs outside it carry
+// the unrepaired implementation's values in every lane, so they are read
+// from the implementation memo, window by window, extending it where a
+// batch outlives its prefix. An outside output that diverges from the
+// golden stream kills every lane at that step, exactly as the whole-
+// program replay would; the cone's own outputs are compared lane by lane.
+// It returns the steps replayed and counts one implementation-oracle hit
+// or miss.
+func (e *Engine) validateCone(gt [][]uint64, st *stimulus, cone *sim.Cone, masks []uint64) (replayed int, err error) {
+	nl := e.impl.Netlist()
+	bnd := cone.Boundary()
+	names := make([]string, len(bnd), len(bnd)+len(e.poNames))
+	for i, id := range bnd {
+		names[i] = nl.NetName(id)
+	}
+	// Golden index of each cone trace column (-1: an implementation-only
+	// output), and the golden outputs the cone does not drive.
+	inside := make([]int, len(cone.POs()))
+	for k := range inside {
+		inside[k] = -1
+	}
+	var outside []int
+	for po, col := range e.iCols {
+		if k := slices.Index(cone.POs(), col); k >= 0 {
+			inside[k] = po
+		} else {
+			outside = append(outside, po)
+			names = append(names, e.poNames[po])
+		}
+	}
+	ent := e.implEntry(st)
+	cols, rep, err := e.implStreams(ent, st, names)
+	if err != nil {
+		return 0, err
+	}
+	hit := !rep
+	defer func() { e.countImpl(hit) }()
+	W := e.impl.Width()
+	e.impl.Reset()
+	for lo := 0; lo < st.steps; lo += replayWindow {
+		hi := min(lo+replayWindow, st.steps)
+		rep, err := e.extendImpl(ent, st, hi)
+		if err != nil {
+			return replayed, err
+		}
+		hit = hit && !rep
+		w, mask := lo>>6, windowMask(hi-lo)
+		for k, po := range outside {
+			if (cols[len(bnd)+k][w]^gt[po][w])&mask != 0 {
+				clear(masks)
+				return replayed, nil
+			}
+		}
+		e.impl.ResumeConeInto(&e.tr, cone, cols[:len(bnd)], lo, hi-lo)
+		replayed += hi - lo
+		anyLive := true
+		for c := 0; c < hi-lo && anyLive; c++ {
+			anyLive = false
+			for k, po := range inside {
+				if po < 0 {
+					continue
+				}
+				g := goldenBit(gt[po], lo+c)
+				for x := 0; x < W; x++ {
+					masks[x] &^= e.tr.OutW(c, k, x) ^ g
+				}
+			}
+			for x := 0; x < W; x++ {
+				anyLive = anyLive || masks[x] != 0
+			}
+		}
+		if !anyLive {
+			break
+		}
+	}
+	return replayed, nil
 }
 
 // SerialValidate computes the same per-candidate outcomes one mutant at
@@ -288,43 +454,70 @@ func rankLess(a, b Candidate) bool {
 // excites the error — Search returns ErrNotExcited otherwise, and the
 // caller falls back to its probe- or golden-based flow.
 func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Outcome, error) {
+	det, err := e.named(detStim)
+	if err != nil {
+		return nil, err
+	}
+	return e.search(suspects, det, cfg)
+}
+
+// SearchBlocks is Search on the detection stimulus
+// BlockStimulus(NumPIs(), words, cycles, seed), named by those
+// parameters: it is drawn once per parameter set through the golden
+// oracle's store, and its rows are built only if a replay needs them.
+func (e *Engine) SearchBlocks(suspects []string, words, cycles int, seed int64, cfg Config) (*Outcome, error) {
+	return e.search(suspects, e.derived("b", words*64, seed, cycles, blockPatterns), cfg)
+}
+
+// BlockStimulus is the broadcast scalar expansion of words random
+// 64-pattern blocks over npi inputs drawn from seed, each pattern held
+// cycles steps: the detection family the fault dictionary observes under
+// (debug.DictStimulus) and SearchBlocks validates on.
+func BlockStimulus(npi, words, cycles int, seed int64) [][]uint64 {
+	return testgen.Repeat(blockPatterns(npi, words*64, seed), cycles)
+}
+
+// blockPatterns draws BlockStimulus's patterns (a multiple of 64).
+func blockPatterns(npi, patterns int, seed int64) [][]uint64 {
+	return testgen.TransposeToScalar(testgen.RandomBlocks(npi, patterns/64, seed))
+}
+
+func (e *Engine) search(suspects []string, det *stimulus, cfg Config) (*Outcome, error) {
 	cfg = cfg.withDefaults()
 
-	// The unrepaired implementation must fail detStim, or survival means
-	// nothing. The detection oracle lookup is reported on the first
-	// detection-validation span.
+	// The unrepaired implementation must fail the detection stimulus, or
+	// survival means nothing. The excitation replay records the suspects'
+	// cone boundary for the validation passes. The detection lookups of
+	// both oracles are reported on the first detection-validation span.
 	hits, misses := e.oracleHits, e.oracleMisses
-	gt, err := e.streams(detStim, e.poNames)
+	gt, err := e.goldenStreams(det, e.poNames)
 	if err != nil {
 		return nil, err
 	}
 	detHits, detMisses := e.oracleHits-hits, e.oracleMisses-misses
-	e.impl.ClearLaneFaults()
-	excited := false
-	e.replayUntil(detStim, func(lo int) bool {
-		for c := 0; c < e.tr.Cycles && !excited; c++ {
-			for po, col := range e.iCols {
-				if e.tr.Out(c, col) != goldenBit(gt[po], lo+c) {
-					excited = true
-					break
-				}
-			}
-		}
-		return !excited
-	})
+	boundary, err := e.suspectBoundary(suspects)
+	if err != nil {
+		return nil, err
+	}
+	ihits, imisses := e.implHits, e.implMisses
+	excited, err := e.excited(det, gt, boundary)
+	if err != nil {
+		return nil, err
+	}
 	if !excited {
 		return nil, ErrNotExcited
 	}
+	detIHits, detIMisses := e.implHits-ihits, e.implMisses-imisses
 
-	obsStim := append([][]uint64{}, detStim...)
+	observe := det
 	if cfg.ObservePatterns > 0 {
-		obsStim = append(obsStim, testgenScalar(e.NumPIs(), cfg.ObservePatterns, cfg.Seed+obsSeedOffset, cfg.VerifyCycles)...)
+		observe = concat(det, e.derived("s", cfg.ObservePatterns, cfg.Seed+obsSeedOffset, cfg.VerifyCycles, testgen.ScalarBlocks))
 	}
 	out := &Outcome{}
 	for round := 0; round < cfg.RefineRounds; round++ {
 		esp := cfg.Obs.Start(obs.StageRepairEnumerate)
 		hits, misses = e.oracleHits, e.oracleMisses
-		cands, err := e.Enumerate(suspects, obsStim)
+		cands, err := e.enumerate(suspects, observe)
 		esp.Add("candidates", int64(len(cands)))
 		addOracleAttrs(esp, e.oracleHits-hits, e.oracleMisses-misses)
 		esp.End()
@@ -337,19 +530,19 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 		}
 
 		vsp := cfg.Obs.Start(obs.StageRepairValidate)
-		alive, nb, replayed, err := e.validateAgainst(gt, cands, detStim, cfg.OnBatch)
-		vsp.Add("candidates-validated", int64(len(cands)))
-		vsp.Add("lane-batches", int64(nb))
-		vsp.Add("replayed-cycles", int64(replayed))
+		ihits, imisses = e.implHits, e.implMisses
+		v, err := e.validate(gt, cands, det, cfg.OnBatch, replayAuto)
+		v.addAttrs(vsp, len(cands))
 		addOracleAttrs(vsp, detHits, detMisses)
-		detHits, detMisses = 0, 0
+		addImplAttrs(vsp, detIHits+e.implHits-ihits, detIMisses+e.implMisses-imisses)
+		detHits, detMisses, detIHits, detIMisses = 0, 0, 0, 0
 		vsp.End()
 		if err != nil {
 			return nil, err
 		}
-		out.Batches += nb
+		out.Batches += v.batches
 		var survivors []Candidate
-		for i, ok := range alive {
+		for i, ok := range v.alive {
 			if ok {
 				survivors = append(survivors, cands[i])
 			}
@@ -359,27 +552,27 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 			return out, nil
 		}
 
-		verifyStim := testgenScalar(e.NumPIs(), cfg.VerifyPatterns,
-			cfg.Seed+verifySeedOffset+int64(round)*verifySeedStride, cfg.VerifyCycles)
+		verify := e.derived("s", cfg.VerifyPatterns,
+			cfg.Seed+verifySeedOffset+int64(round)*verifySeedStride, cfg.VerifyCycles, testgen.ScalarBlocks)
 		wsp := cfg.Obs.Start(obs.StageRepairValidate)
 		hits, misses = e.oracleHits, e.oracleMisses
-		vt, err := e.streams(verifyStim, e.poNames)
+		ihits, imisses = e.implHits, e.implMisses
+		vt, err := e.goldenStreams(verify, e.poNames)
 		if err != nil {
 			wsp.End()
 			return nil, err
 		}
-		verified, nb, replayed, err := e.validateAgainst(vt, survivors, verifyStim, cfg.OnBatch)
-		wsp.Add("candidates-validated", int64(len(survivors)))
-		wsp.Add("lane-batches", int64(nb))
-		wsp.Add("replayed-cycles", int64(replayed))
+		v, err = e.validate(vt, survivors, verify, cfg.OnBatch, replayAuto)
+		v.addAttrs(wsp, len(survivors))
 		addOracleAttrs(wsp, e.oracleHits-hits, e.oracleMisses-misses)
+		addImplAttrs(wsp, e.implHits-ihits, e.implMisses-imisses)
 		wsp.End()
 		if err != nil {
 			return nil, err
 		}
-		out.Batches += nb
+		out.Batches += v.batches
 		out.Ranked = out.Ranked[:0]
-		for i, ok := range verified {
+		for i, ok := range v.alive {
 			if ok {
 				out.Ranked = append(out.Ranked, survivors[i])
 			}
@@ -394,9 +587,17 @@ func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Out
 		// No survivor verified: the verification stream excited behaviour
 		// the observation never saw. It is a golden replay — ground truth —
 		// so fold it into the observation and search again.
-		obsStim = append(obsStim, verifyStim...)
+		observe = concat(observe, verify)
 	}
 	return out, nil
+}
+
+// addImplAttrs records implementation-memo lookups on a span: hits read
+// every stream they needed from memo, misses replayed the unrepaired
+// implementation to record or extend one.
+func addImplAttrs(sp *obs.Span, hits, misses int64) {
+	sp.Add("impl-oracle-hit", hits)
+	sp.Add("impl-oracle-miss", misses)
 }
 
 // addOracleAttrs records golden-oracle lookups on a span: hits served

@@ -201,6 +201,7 @@ func (r *run) pairScan() error {
 		}
 	}
 	res.Detected = res.PairsDetected > 0
+	res.FaultsDetected = 2 * res.PairsDetected
 	if len(pu) > 0 {
 		res.FaultCoverage = float64(res.PairsDetected) / float64(len(pu))
 		res.MaskedFraction = float64(masked) / float64(len(pu))

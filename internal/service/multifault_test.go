@@ -41,6 +41,9 @@ func TestPairScanCampaign(t *testing.T) {
 	if res.FaultsTotal != 2*res.PairsTotal {
 		t.Fatalf("a pair carries two faults: total %d vs pairs %d", res.FaultsTotal, res.PairsTotal)
 	}
+	if res.FaultsDetected != 2*res.PairsDetected {
+		t.Fatalf("a detected pair carries two faults: detected %d vs pairs %d", res.FaultsDetected, res.PairsDetected)
+	}
 	if res.PairsDiagnosed > res.PairsDetected || res.PairDiagRate < 0 || res.PairDiagRate > 1 {
 		t.Fatalf("implausible diagnosis accounting: %+v", res)
 	}
@@ -58,6 +61,32 @@ func TestPairScanCampaign(t *testing.T) {
 	single := waitResult(t, svc, modelSpec("9sym", FaultModelSingle))
 	if single.Digest == res.Digest {
 		t.Fatal("pair and single campaigns share a digest")
+	}
+}
+
+// TestMultiFaultCampaignBars holds the multi-fault coverage floors on
+// service campaigns over the two smallest catalog designs: at least 70%
+// of detected fault pairs get a probe-free, simulation-exact verdict from
+// the composition dictionary, and every model — pairs, windowed SEUs,
+// interconnect — detects something. -v logs one row per campaign.
+func TestMultiFaultCampaignBars(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	for _, design := range []string{"9sym", "c880"} {
+		for _, model := range []string{FaultModelPair, FaultModelSEU, FaultModelInterconnect} {
+			sp := modelSpec(design, model)
+			sp.Patterns, sp.Seed = 64, 1
+			res := waitResult(t, svc, sp)
+			t.Logf("%-5s %-12s faults %d/%d pairs %d/%d resolved %.1f%% seu p50/p99 %.0f/%.0f masked %.3f",
+				design, model, res.FaultsDetected, res.FaultsTotal, res.PairsDetected, res.PairsTotal,
+				100*res.PairDiagRate, res.SEULatencyP50, res.SEULatencyP99, res.MaskedFraction)
+			if res.FaultsDetected == 0 {
+				t.Errorf("%s %s: the model detected nothing: %+v", design, model, res)
+			}
+			if model == FaultModelPair && res.PairDiagRate < 0.70 {
+				t.Errorf("%s: probe-free pair resolution %.1f%% below the 70%% bar", design, 100*res.PairDiagRate)
+			}
+		}
 	}
 }
 

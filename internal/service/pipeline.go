@@ -197,7 +197,7 @@ func (r *run) loop() error {
 	if err != nil {
 		return err
 	}
-	sess, err := r.session()
+	sess, err := r.session(implFP)
 	if err != nil {
 		return err
 	}
@@ -353,9 +353,10 @@ func (r *run) baseline(lkey string) (*baselineFuture, error) {
 
 // session binds a debug session to the leased layout, with context,
 // progress, the golden program, the golden-trace cache and the repair
-// search's golden oracle threaded through, plus the overlay selector and
-// the fault dictionary when the spec asks for them.
-func (r *run) session() (*debug.Session, error) {
+// search's oracles threaded through, plus the overlay selector and the
+// fault dictionary when the spec asks for them. A leased layout's netlist
+// is the injected implementation itself, so implFP keys its memo.
+func (r *run) session(implFP string) (*debug.Session, error) {
 	r.enter("session")
 	spec, c := r.spec, r.c
 	sess, err := debug.NewSession(r.ga.golden, r.layout, spec.Seed)
@@ -369,6 +370,7 @@ func (r *run) session() (*debug.Session, error) {
 	sess.Obs = r.tr
 	sess.SetGoldenMachine(r.ga.mach.Fork())
 	sess.SetGoldenFingerprint(r.ga.fp)
+	sess.SetImplFingerprint(implFP)
 	sess.Progress = func(ev debug.Event) {
 		c.appendEvent(ev.Stage, ev.Round, "%s", ev.Msg)
 	}
@@ -432,17 +434,19 @@ func (t traceStore) PutTrace(key string, tr *sim.Trace) {
 	t.s.spillTrace(key, tr)
 }
 
-// oracleStore adapts the artifact cache to repair.OracleStore under the
-// oracle/<golden fingerprint>/<stimulus id> family: one entry per golden
-// design and broadcast stimulus, shared by every lane width and suspect
-// set. An entry fills in lazily, so it is charged at its worst case (all
-// golden nets recorded) and never spilled. The lookups are not counted
-// in Result.CacheHits/CacheMisses; the repair spans carry oracle-hit and
-// oracle-miss instead.
+// oracleStore adapts the artifact cache to repair.OracleStore. The repair
+// search keys three families: oracle/<golden fingerprint>/<stimulus id>
+// (golden replays, shared by every lane width and suspect set),
+// impl/<implementation fingerprint>/<stimulus id> (the unrepaired
+// implementation's replays) and stim/<generator parameters> (derived
+// stimuli). Entries fill in lazily, so stream entries are charged at
+// their worst case (all nets recorded); none is spilled. The lookups are
+// not counted in Result.CacheHits/CacheMisses; the repair spans carry
+// oracle-hit/oracle-miss and impl-oracle-hit/impl-oracle-miss instead.
 type oracleStore struct{ c *Cache }
 
 func (o oracleStore) OracleEntry(key string, create func() (*repair.Streams, int64)) *repair.Streams {
-	v, _, err := o.c.GetOrBuild("oracle/"+key, func() (any, int64, error) {
+	v, _, err := o.c.GetOrBuild(key, func() (any, int64, error) {
 		st, charge := create()
 		return st, charge, nil
 	})

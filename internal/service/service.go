@@ -1058,6 +1058,13 @@ func (s *Service) worker() {
 			}
 		}
 
+		// A failed or canceled campaign is journaled before its waiters
+		// wake, so whoever sees the failure can read its record. A done
+		// campaign's record follows the wake-up, keeping the store's sync
+		// off the turnaround a client waits on.
+		if err != nil {
+			s.journalFinish(c.id, res, err)
+		}
 		c.mu.Lock()
 		switch {
 		case err == nil:
@@ -1075,8 +1082,9 @@ func (s *Service) worker() {
 			c.finishLocked(StateFailed, nil, err)
 		}
 		c.mu.Unlock()
-
-		s.journalFinish(c.id, res, err)
+		if err == nil {
+			s.journalFinish(c.id, res, err)
+		}
 
 		s.mu.Lock()
 		s.running--

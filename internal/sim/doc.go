@@ -27,8 +27,13 @@
 // DESIGN.md §10), so one trace replay evaluates Lanes() mutants or
 // candidate repairs with no netlist clone and no recompilation.
 // CompileWidth widens the machine to W words per net (64·W lanes,
-// W ≤ MaxWidth); Compile is CompileWidth with W = 1. TraceActivity
-// summarizes a golden run — the values every net carried, the minterms
-// every LUT was presented — so fault scans can skip lane faults the run
-// never excites (Activity.Excites; DESIGN.md §9).
+// W ≤ MaxWidth); Compile is CompileWidth with W = 1, and ForkWidth forks
+// a compiled program at another width without recompiling it. Cone
+// restricts a program to the fanout of a set of cells, closed through
+// flip-flops, and ResumeConeInto replays that cone alone from packed
+// boundary streams — everything outside it carries the unperturbed
+// design's broadcast values (repair-candidate validation, DESIGN.md §10).
+// TraceActivity summarizes a golden run — the values every net carried,
+// the minterms every LUT was presented — so fault scans can skip lane
+// faults the run never excites (Activity.Excites; DESIGN.md §9).
 package sim

@@ -43,7 +43,18 @@ func Equivalent(a, b *netlist.Netlist, words, cycles int, seed int64) (*Mismatch
 // for fault campaigns comparing one golden machine against many mutants
 // without recompiling the golden side per comparison.
 func EquivalentCompiled(ma *Machine, b *netlist.Netlist, words, cycles int, seed int64) (*Mismatch, error) {
-	a := ma.Netlist()
+	mb, err := Compile(b)
+	if err != nil {
+		return nil, err
+	}
+	return EquivalentMachines(ma, mb, words, cycles, seed)
+}
+
+// EquivalentMachines is Equivalent with both designs precompiled — for
+// a caller that already holds a program of the second design too. Both
+// machines are rebound and reset.
+func EquivalentMachines(ma, mb *Machine, words, cycles int, seed int64) (*Mismatch, error) {
+	a, b := ma.Netlist(), mb.Netlist()
 	pis := a.SortedPINames()
 	pos := a.SortedPONames()
 	if err := sameNames(pis, b.SortedPINames()); err != nil {
@@ -57,7 +68,7 @@ func EquivalentCompiled(ma *Machine, b *netlist.Netlist, words, cycles int, seed
 	}
 	blocks := testgen.RandomBlocks(len(pis), words, seed)
 	stim := testgen.Repeat(blocks, cycles)
-	return compareTraces(ma, b, pis, pos, stim, false)
+	return compareTraces(ma, mb, pis, pos, stim, false)
 }
 
 // ExhaustiveEquivalent compares two purely combinational designs on every
@@ -82,7 +93,11 @@ func ExhaustiveEquivalent(a, b *netlist.Netlist) (*Mismatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compareTraces(ma, b, pis, pos, stim, true)
+	mb, err := Compile(b)
+	if err != nil {
+		return nil, err
+	}
+	return compareTraces(ma, mb, pis, pos, stim, true)
 }
 
 // compareWindow bounds how many cycles compareTraces replays before
@@ -93,11 +108,7 @@ const compareWindow = 64
 // compareTraces replays stim on both designs in windows and reports the
 // first differing PO bit. When maskTail is set, invalid pattern bits of a
 // final partial exhaustive word are ignored.
-func compareTraces(ma *Machine, b *netlist.Netlist, pis, pos []string, stim [][]uint64, maskTail bool) (*Mismatch, error) {
-	mb, err := Compile(b)
-	if err != nil {
-		return nil, err
-	}
+func compareTraces(ma, mb *Machine, pis, pos []string, stim [][]uint64, maskTail bool) (*Mismatch, error) {
 	if err := ma.BindNames(pis); err != nil {
 		return nil, err
 	}

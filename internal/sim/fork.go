@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Fork returns an independent Machine sharing this machine's compiled
 // program. Compilation (levelization, truth-table expansion, CSR packing)
 // is paid once; each fork carries only its own mutable state — net values,
@@ -12,10 +14,24 @@ package sim
 // The fork starts in the reset state with the default all-PIs binding and
 // no probes, overrides or lane faults, regardless of the parent's current
 // state. It inherits the parent's lane width.
-func (m *Machine) Fork() *Machine {
+func (m *Machine) Fork() *Machine { return m.fork(m.width) }
+
+// ForkWidth is Fork at another lane width: the fork shares the compiled
+// program and carries width words per net. Levelization, classification
+// and table expansion are width-independent, so one compile serves every
+// width; only the block evaluator's premultiplied offsets are rebuilt.
+// width must be in [1, MaxWidth].
+func (m *Machine) ForkWidth(width int) (*Machine, error) {
+	if width < 1 || width > MaxWidth {
+		return nil, fmt.Errorf("sim: lane width %d out of [1,%d]", width, MaxWidth)
+	}
+	return m.fork(width), nil
+}
+
+func (m *Machine) fork(width int) *Machine {
 	f := &Machine{
 		nl:         m.nl,
-		width:      m.width,
+		width:      width,
 		nodes:      m.nodes,
 		fanin:      m.fanin,
 		ttab:       m.ttab,
@@ -32,9 +48,13 @@ func (m *Machine) Fork() *Machine {
 		pos:        m.pos,
 		poNames:    m.poNames,
 		nodeOfCell: m.nodeOfCell,
-		val:        make([]uint64, len(m.val)),
-		state:      make([]uint64, len(m.state)),
+		val:        make([]uint64, len(m.val)/m.width*width),
+		state:      make([]uint64, len(m.dffQ)*width),
 		bound:      append([]int32(nil), m.pis...),
+	}
+	if width != m.width {
+		f.fanB, f.outB = nil, nil
+		f.buildBlockOffsets()
 	}
 	f.Reset()
 	return f

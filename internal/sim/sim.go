@@ -124,6 +124,12 @@ type Machine struct {
 	// depend on the cycle counter, so trace replays never skip a step.
 	windowed bool
 
+	// Net-to-reader index (see cone.go), built by the first Cone call and
+	// private to this instance: readers[readOff[n]:readOff[n+1]] lists the
+	// nodes reading net n, and flip-flop d latching it as -1-d.
+	readOff []int32
+	readers []int32
+
 	// stateBits, set only during TraceActivity's golden replay, collects
 	// lane 0 of every flip-flop entering each cycle (see activity.go).
 	stateBits []uint64
