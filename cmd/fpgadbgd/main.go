@@ -24,26 +24,21 @@
 // campaign's StageTrace as one NDJSON line; -pprof mounts the standard
 // net/http/pprof profiling handlers under /debug/pprof/.
 //
-// Durability and sharding: -data-dir DIR journals every campaign
-// lifecycle transition to an fsynced, checksummed write-ahead log and
-// spills rebuildable artifacts (mapped netlists, golden traces) as
-// content-addressed blobs, so a killed daemon restarted on the same
-// directory restores finished campaigns and re-runs interrupted ones to
-// bit-identical result digests. -replicas N (with N > 1) runs N service
-// replicas behind a design-affinity sharding coordinator with
-// submission-time work stealing; campaign IDs gain an "r<i>-" prefix
-// and /metrics reports per-replica documents plus routing counters.
+// Durability: -data-dir DIR journals every campaign lifecycle
+// transition to an fsynced, checksummed write-ahead log and spills each
+// design's mapped golden netlist as a content-addressed blob, so a
+// killed daemon restarted on the same directory restores finished
+// campaigns and re-runs interrupted ones to bit-identical result
+// digests.
 //
 // Three campaign kinds are served: "debug" (the full detect → localize →
 // correct loop, optionally with the fault-dictionary localizer via
 // "use_dict":true), "faultscan" (exhaustive single-fault universe scan
 // on the 64-lane fault-parallel mutant engine) and "repair" (one detect
 // → dictionary-localize → candidate-search-repair pass where the golden
-// design is only a behavioural oracle; the compiled candidate program is
-// cached per injected design). Campaigns that build a layout accept
-// "overlay":true to pre-reserve the debug overlay (zero-CAD probe
-// switching + causal-chain localizer); -overlay turns it on for every
-// such campaign by default. Submit from the shell:
+// design is only a behavioural oracle). Campaigns that build a layout
+// accept "overlay":true to pre-reserve the debug overlay (zero-CAD probe
+// switching + causal-chain localizer). Submit from the shell:
 //
 //	curl -s -X POST localhost:8080/campaigns -d '{"design":"9sym","fault_seed":1}'
 //	curl -s -X POST localhost:8080/campaigns -d '{"design":"9sym","kind":"faultscan","patterns":128}'
@@ -64,7 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"fpgadbg/internal/coord"
 	"fpgadbg/internal/service"
 	"fpgadbg/internal/store"
 )
@@ -78,16 +72,13 @@ func main() {
 		traceLog   = flag.String("trace-log", "", "append finished campaigns' stage traces to this NDJSON file")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		dataDir    = flag.String("data-dir", "", "durable store directory (journal + blob spill); empty = in-memory only")
-		replicas   = flag.Int("replicas", 1, "service replicas behind the sharding coordinator (1 = classic single service)")
-		overlayOn  = flag.Bool("overlay", false, "enable the pre-reserved debug overlay (zero-CAD probe switching + causal localizer) on every debug/repair campaign by default")
 	)
 	flag.Parse()
 
 	cfg := service.Config{
-		Workers:        *workers,
-		CacheBytes:     *cacheMB << 20,
-		CacheEntries:   *cacheEntry,
-		DefaultOverlay: *overlayOn,
+		Workers:      *workers,
+		CacheBytes:   *cacheMB << 20,
+		CacheEntries: *cacheEntry,
 	}
 	if *traceLog != "" {
 		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -98,37 +89,20 @@ func main() {
 		defer f.Close()
 		cfg.TraceLog = f
 	}
-	// -replicas 1 keeps the classic single-service daemon (optionally
-	// durable via -data-dir); beyond that the coordinator shards the
-	// same REST surface across N replicas.
-	var (
-		api     service.API
-		closeFn func()
-	)
-	if *replicas > 1 {
-		co, err := coord.New(coord.Config{Replicas: *replicas, DataDir: *dataDir, Service: cfg})
+	if *dataDir != "" {
+		st, err := store.OpenDisk(*dataDir, store.DiskOptions{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fpgadbgd:", err)
+			fmt.Fprintln(os.Stderr, "fpgadbgd: -data-dir:", err)
 			os.Exit(1)
 		}
-		api, closeFn = co, co.Close
-	} else {
-		if *dataDir != "" {
-			st, err := store.OpenDisk(*dataDir, store.DiskOptions{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fpgadbgd: -data-dir:", err)
-				os.Exit(1)
-			}
-			cfg.Store = st
-		}
-		svc, err := service.Open(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fpgadbgd:", err)
-			os.Exit(1)
-		}
-		api, closeFn = svc, svc.Close
+		cfg.Store = st
 	}
-	handler := service.NewHandler(api)
+	svc, err := service.Open(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fpgadbgd:", err)
+		os.Exit(1)
+	}
+	handler := svc.Handler()
 	if *pprofOn {
 		// The service mux has no /debug routes, so mounting the pprof
 		// default-mux handlers on an outer mux cannot shadow the API.
@@ -150,8 +124,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("fpgadbgd: listening on %s (replicas=%d, workers=%d, cache=%dMiB, data-dir=%q)",
-			*addr, *replicas, api.Stats().Workers, *cacheMB, *dataDir)
+		log.Printf("fpgadbgd: listening on %s (workers=%d, cache=%dMiB, data-dir=%q)",
+			*addr, svc.Stats().Workers, *cacheMB, *dataDir)
 		errCh <- server.ListenAndServe()
 	}()
 
@@ -169,7 +143,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	server.Shutdown(ctx) //nolint:errcheck // best-effort drain
-	closeFn()
+	svc.Close()
 	log.Printf("fpgadbgd: stopped")
 }
 

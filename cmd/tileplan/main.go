@@ -14,8 +14,6 @@ import (
 
 	"fpgadbg/internal/bench"
 	"fpgadbg/internal/core"
-	"fpgadbg/internal/device"
-	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/timing"
 )
 
@@ -63,7 +61,7 @@ func main() {
 		fmt.Printf("  tile %2d %-14s used %3d free %3d\n", t.ID, t.Rect.String(), used[t.ID], free[t.ID])
 	}
 
-	rep, err := analyze(l)
+	rep, err := timing.Analyze(l.TimingInput(), timing.DefaultModel())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tileplan:", err)
 		os.Exit(1)
@@ -74,22 +72,4 @@ func main() {
 			fmt.Printf("  %-30s @ %.2f ns\n", n.Cell, n.Arrival)
 		}
 	}
-}
-
-func analyze(l *core.Layout) (timing.Report, error) {
-	cellPos := make(map[netlist.CellID]device.XY)
-	for ci := range l.NL.Cells {
-		if l.NL.Cells[ci].Dead {
-			continue
-		}
-		if clb, ok := l.Packed.CellCLB[netlist.CellID(ci)]; ok {
-			cellPos[netlist.CellID(ci)] = l.CLBLoc[clb]
-		}
-	}
-	netLen := make(map[netlist.NetID]int, len(l.Routes))
-	for net, rn := range l.Routes {
-		netLen[net] = rn.RouteLen()
-	}
-	return timing.Analyze(timing.Input{NL: l.NL, CellPos: cellPos, PadPos: l.PadLoc, NetLen: netLen},
-		timing.DefaultModel())
 }

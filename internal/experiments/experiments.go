@@ -126,11 +126,11 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("experiments: %s tiled: %w", d.Name, err)
 		}
-		tBase, err := analyzeTiming(base)
+		tBase, err := timing.Analyze(base.TimingInput(), timing.DefaultModel())
 		if err != nil {
 			return Table1Row{}, err
 		}
-		tTiled, err := analyzeTiming(tiled)
+		tTiled, err := timing.Analyze(tiled.TimingInput(), timing.DefaultModel())
 		if err != nil {
 			return Table1Row{}, err
 		}
@@ -143,26 +143,6 @@ func Table1(cfg Config) ([]Table1Row, error) {
 			PaperCLBs:      d.PaperCLBs, PaperAreaOverhead: paper[0], PaperTimingOverhead: paper[1],
 		}, nil
 	})
-}
-
-// analyzeTiming runs STA over a layout.
-func analyzeTiming(l *core.Layout) (timing.Report, error) {
-	cellPos := make(map[netlist.CellID]device.XY)
-	for ci := range l.NL.Cells {
-		if l.NL.Cells[ci].Dead {
-			continue
-		}
-		if clb, ok := l.Packed.CellCLB[netlist.CellID(ci)]; ok {
-			cellPos[netlist.CellID(ci)] = l.CLBLoc[clb]
-		}
-	}
-	netLen := make(map[netlist.NetID]int, len(l.Routes))
-	for net, rn := range l.Routes {
-		netLen[net] = rn.RouteLen()
-	}
-	return timing.Analyze(timing.Input{
-		NL: l.NL, CellPos: cellPos, PadPos: l.PadLoc, NetLen: netLen,
-	}, timing.DefaultModel())
 }
 
 // FormatTable1 renders rows like the paper's Table 1 with measured and

@@ -34,6 +34,8 @@
 // ask for.
 //
 // The same typed API (Submit / Status / Events / Wait / Cancel) is served
-// in-process (the load generator in internal/experiments) and over
-// HTTP/JSON by cmd/fpgadbgd (see http.go and client.go).
+// in-process (cmd/fpgadbg without -remote, and the benchmark) and over
+// HTTP/JSON by cmd/fpgadbgd, one Service per daemon (see http.go and
+// client.go). With Config.Store the service journals campaign
+// lifecycles and re-runs interrupted campaigns on Open (persist.go).
 package service

@@ -21,40 +21,15 @@ import (
 //	GET  /metrics                 expvar globals + this service's stats
 //	                              and telemetry registry under "fpgadbgd"
 
-// API is the campaign surface the HTTP layer serves. *Service implements
-// it directly; coord.Coordinator implements it by routing campaigns
-// across service replicas, so both mount the identical REST interface
-// through NewHandler.
-type API interface {
-	Submit(Spec) (string, error)
-	Status(id string) (Status, error)
-	List() []Status
-	Events(id string) ([]Event, <-chan Event, func(), error)
-	Trace(id string) (*obs.StageTrace, error)
-	Cancel(id string) error
-	Stats() Stats
-	// MetricsDoc is the JSON-marshalable value served under the
-	// "fpgadbgd" key of /metrics.
-	MetricsDoc() any
-}
-
-// MetricsDoc implements API: this instance's stats plus its telemetry
-// registry snapshot — the document dashboards and the CI daemon smoke
-// assert against.
-func (s *Service) MetricsDoc() any {
-	return struct {
-		Stats
-		Telemetry obs.RegistrySnapshot `json:"telemetry"`
-	}{s.Stats(), s.reg.Snapshot()}
-}
-
 // metricsHandler serves the expvar-style JSON document: every process
 // global expvar.Do yields (memstats, cmdline, ...) plus this instance's
-// MetricsDoc under the "fpgadbgd" key. The per-instance key is assembled
-// here rather than via expvar.Publish — Publish is process-global and
-// panics on duplicates, so two services in one process (tests, embedded
-// daemons) would both report whichever instance registered first.
-func metricsHandler(api API) http.HandlerFunc {
+// stats and telemetry registry snapshot under the "fpgadbgd" key — the
+// document dashboards and the CI daemon smoke assert against. The
+// per-instance key is assembled here rather than via expvar.Publish —
+// Publish is process-global and panics on duplicates, so two services in
+// one process (tests, embedded daemons) would both report whichever
+// instance registered first.
+func metricsHandler(s *Service) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		fmt.Fprintf(w, "{\n")
@@ -69,7 +44,10 @@ func metricsHandler(api API) http.HandlerFunc {
 			first = false
 			fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
 		})
-		b, err := json.Marshal(api.MetricsDoc())
+		b, err := json.Marshal(struct {
+			Stats
+			Telemetry obs.RegistrySnapshot `json:"telemetry"`
+		}{s.Stats(), s.reg.Snapshot()})
 		if err != nil {
 			b = []byte("null")
 		}
@@ -93,12 +71,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // Handler mounts the HTTP API.
-func (s *Service) Handler() http.Handler { return NewHandler(s) }
-
-// NewHandler mounts the REST surface over any API implementation — the
-// single service in the classic daemon, the sharded coordinator when
-// fpgadbgd runs with -replicas.
-func NewHandler(s API) http.Handler {
+func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {

@@ -1,28 +1,24 @@
 package service
 
 import (
-	"bytes"
 	"container/heap"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
 	"time"
 
-	"fpgadbg/internal/blif"
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/obs"
-	"fpgadbg/internal/sim"
 	"fpgadbg/internal/store"
 )
 
 // Durable campaign state. When Config.Store is set the service journals
 // every campaign lifecycle transition (submit, start, done/failed/
-// canceled) as one fsynced record, spills rebuildable artifacts (mapped
-// golden netlists as BLIF, golden traces as gob) into the store's
-// content-addressed blob area, and Open replays the journal on startup:
+// canceled) as one fsynced record, spills each design's mapped golden
+// netlist into the store's content-addressed blob area, and Open replays
+// the journal on startup:
 // terminal campaigns come back queryable, queued and running campaigns
 // are requeued and re-executed. Because every Result field that enters
 // Digest is deterministic for a Spec, a requeued campaign's digest is
@@ -203,14 +199,17 @@ func (s *Service) restore() error {
 
 // ------------------------------------------------------------ blob spill
 //
-// Two artifact classes are worth persisting: the mapped golden netlist
-// of a design (skips synth+techmap on resume) and golden replay traces
-// (skip whole golden simulations). Both are pure functions of their key,
-// so a spill is an optimization only — every load failure falls back to
-// rebuilding, and a netlist spill is journaled only after a write-time
-// round-trip check proves the BLIF text reparses to the bit-identical
-// structure (same fingerprint, same cell indexing). That check is what
-// keeps resumed campaigns digest-identical to cold ones.
+// One artifact class is worth persisting: the mapped golden netlist of a
+// design, which skips synth+techmap on resume. Golden replay traces are
+// not spilled — replaying one costs less than reading, re-hashing and
+// decoding its blob, and every new trace would cost a blob and a journal
+// fsync. The netlist is a pure function of its key, so a spill is an
+// optimization only: every load failure falls back to rebuilding. It is
+// encoded exactly (netlist.MarshalBinary: every cell and net keeps its
+// ID), which is what keeps resumed campaigns digest-identical to cold
+// ones. Blob records an older data directory holds stay in the index:
+// trace/… entries are never read, and a netlist spilled as BLIF fails to
+// decode and falls back to synthesis.
 
 func netlistBlobID(design string) string { return "netlist/" + design }
 
@@ -243,28 +242,23 @@ func (s *Service) putSpill(id, kind string, data []byte) {
 	s.journal(store.Record{Kind: store.KindBlob, ID: id, Blob: dig, BlobKind: kind})
 }
 
-// spillNetlist persists a mapped netlist as BLIF — but only when the
-// text provably round-trips: reparsing must yield the same fingerprint
-// over the same cell indices, or a resumed campaign could inject its
-// design error into a structurally shifted netlist and drift the digest.
+// spillNetlist persists a mapped netlist in its exact binary encoding, so
+// a resumed campaign injects its design error into the same cells and
+// nets, in the same order, as a cold one.
 func (s *Service) spillNetlist(design string, nl *netlist.Netlist) {
 	if s.store == nil {
 		return
 	}
-	text, err := blif.ToString(nl)
+	data, err := nl.MarshalBinary()
 	if err != nil {
 		return
 	}
-	back, err := blif.ParseString(text)
-	if err != nil || back.Fingerprint() != nl.Fingerprint() || len(back.Cells) != len(nl.Cells) {
-		return // not round-trip stable (e.g. names BLIF cannot carry): skip, never mis-spill
-	}
-	s.putSpill(netlistBlobID(design), "netlist", []byte(text))
+	s.putSpill(netlistBlobID(design), "netlist", data)
 }
 
-// loadSpilledNetlist rebuilds a mapped netlist from its spilled BLIF.
-// Integrity is layered: the store re-hashes blob content, and the spill
-// was journaled only after the round-trip check above.
+// loadSpilledNetlist rebuilds a mapped netlist from its spilled encoding.
+// The store re-hashes blob content, and decoding re-checks the netlist's
+// structural invariants; any failure falls back to synthesis.
 func (s *Service) loadSpilledNetlist(design string) (*netlist.Netlist, bool) {
 	if s.store == nil {
 		return nil, false
@@ -279,47 +273,11 @@ func (s *Service) loadSpilledNetlist(design string) (*netlist.Netlist, bool) {
 		s.noteSpill(false)
 		return nil, false
 	}
-	nl, err := blif.ParseString(string(data))
-	if err != nil {
+	nl := new(netlist.Netlist)
+	if err := nl.UnmarshalBinary(data); err != nil {
 		s.noteSpill(false)
 		return nil, false
 	}
 	s.noteSpill(true)
 	return nl, true
-}
-
-// spillTrace persists one golden replay trace as gob (sim.Trace is flat
-// exported data, so gob round-trips it exactly).
-func (s *Service) spillTrace(key string, tr *sim.Trace) {
-	if s.store == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
-		return
-	}
-	s.putSpill(key, "trace", buf.Bytes())
-}
-
-func (s *Service) loadSpilledTrace(key string) (*sim.Trace, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	ref, ok := s.blobRef(key)
-	if !ok {
-		s.noteSpill(false)
-		return nil, false
-	}
-	data, err := s.store.GetBlob(ref.Kind, ref.Digest)
-	if err != nil {
-		s.noteSpill(false)
-		return nil, false
-	}
-	var tr sim.Trace
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&tr); err != nil {
-		s.noteSpill(false)
-		return nil, false
-	}
-	s.noteSpill(true)
-	return &tr, true
 }

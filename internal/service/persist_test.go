@@ -449,3 +449,50 @@ func TestPersistFailsRequeuedSpecOverCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenIgnoresLegacyTraceBlobs opens a data directory whose journal
+// indexes a golden-trace blob, as older daemons spilled them: the
+// service opens, runs a campaign to the reference digest, and journals
+// no trace blob of its own.
+func TestOpenIgnoresLegacyTraceBlobs(t *testing.T) {
+	spec := fastSpec("9sym", 9)
+	want := runToDigest(t, spec)
+
+	dir := t.TempDir()
+	st := openDisk(t, dir)
+	dig, err := st.PutBlob("trace", []byte("not a gob stream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := "trace/0123456789abcdef/0123456789abcdef"
+	if _, err := st.Append(store.Record{Kind: store.KindBlob, ID: legacy, Blob: dig, BlobKind: "trace"}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	svc, err := Open(Config{Workers: 1, Store: openDisk(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if res.Digest != want {
+		t.Fatalf("digest %s, want %s", res.Digest, want)
+	}
+	rec, err := openDisk(t, dir).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blobID, ref := range rec.Blobs {
+		if ref.Kind == "trace" && blobID != legacy {
+			t.Fatalf("journaled a new trace blob %s", blobID)
+		}
+	}
+}

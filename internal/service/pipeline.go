@@ -139,9 +139,8 @@ func (r *run) golden() error {
 		// The cold-path builds are spans on the building campaign's
 		// trace; campaigns served from cache record none (the cache-hit
 		// counter tells that story instead). A durable service tries the
-		// spilled BLIF first — parsing it replaces synth+techmap and is
-		// digest-safe because the spill was round-trip-verified when
-		// written (persist.go).
+		// spilled netlist first — decoding it replaces synth+techmap and
+		// is digest-safe because the encoding is exact (persist.go).
 		mapped, ok := s.loadSpilledNetlist(spec.Design)
 		if ok {
 			ssp := tr.Start(obs.StageSynth)
@@ -364,7 +363,7 @@ func (r *run) session(implFP string) (*debug.Session, error) {
 		return nil, err
 	}
 	sess.Ctx = r.ctx
-	sess.Traces = traceStore{r.s}
+	sess.Traces = traceStore{r.s.cache}
 	sess.Oracle = repair.NewOracle(oracleStore{r.s.cache}, r.ga.fp)
 	sess.SimWidth = spec.SimLanes / 64
 	sess.Obs = r.tr
@@ -410,28 +409,21 @@ func (r *run) session(implFP string) (*debug.Session, error) {
 	return sess, nil
 }
 
-// traceStore adapts the artifact cache — backed, when the service is
-// durable, by the store's spilled trace blobs — to debug.TraceStore. A
-// cache miss consults the blob index before giving up, so a restarted
-// daemon re-serves golden traces it computed in a previous life.
-type traceStore struct{ s *Service }
+// traceStore adapts the artifact cache to debug.TraceStore. Golden traces
+// live in memory only: a restarted daemon replays them again.
+type traceStore struct{ c *Cache }
 
 func (t traceStore) GetTrace(key string) (*sim.Trace, bool) {
-	if v, ok := t.s.cache.Get(key); ok {
+	if v, ok := t.c.Get(key); ok {
 		if tr, ok := v.(*sim.Trace); ok {
 			return tr, true
 		}
-	}
-	if tr, ok := t.s.loadSpilledTrace(key); ok {
-		t.s.cache.Put(key, tr, traceBytes(tr))
-		return tr, true
 	}
 	return nil, false
 }
 
 func (t traceStore) PutTrace(key string, tr *sim.Trace) {
-	t.s.cache.Put(key, tr, traceBytes(tr))
-	t.s.spillTrace(key, tr)
+	t.c.Put(key, tr, traceBytes(tr))
 }
 
 // oracleStore adapts the artifact cache to repair.OracleStore. The repair

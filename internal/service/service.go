@@ -516,10 +516,6 @@ type Config struct {
 	// counters only, and the pipelines pay one nil test per stage. The
 	// benchmark's untraced throughput runs use it.
 	NoTelemetry bool
-	// DefaultOverlay turns Spec.Overlay on for every submitted campaign
-	// that builds a layout (faultscan campaigns are left alone — they
-	// have none). The daemon wires -overlay here.
-	DefaultOverlay bool
 	// Store, when set, makes campaign state durable: lifecycle
 	// transitions are journaled, rebuildable artifacts spill into the
 	// blob area, and Open replays the journal on startup (persist.go).
@@ -678,9 +674,6 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 // Submit validates and enqueues a campaign, returning its ID.
 func (s *Service) Submit(spec Spec) (string, error) {
 	spec = spec.withDefaults()
-	if s.cfg.DefaultOverlay && spec.Kind != KindFaultScan {
-		spec.Overlay = true
-	}
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
@@ -869,22 +862,6 @@ func (s *Service) Cancel(id string) error {
 		s.journal(store.Record{Kind: store.KindCanceled, ID: id, Error: "canceled while queued"})
 	}
 	return nil
-}
-
-// QueueDepth counts genuinely waiting campaigns — the cheap signal the
-// coordinator's work-stealing router reads on every submission.
-func (s *Service) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	queued := 0
-	for _, it := range s.queue {
-		it.c.mu.Lock()
-		if it.c.state == StateQueued {
-			queued++
-		}
-		it.c.mu.Unlock()
-	}
-	return queued
 }
 
 // Stats snapshots service counters.

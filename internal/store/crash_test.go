@@ -189,14 +189,16 @@ func TestCrashBitRotNeverInventsRecords(t *testing.T) {
 		if err != nil {
 			t.Fatalf("byte %d: reopen: %v", i, err)
 		}
-		d2.mu.Lock()
-		for j, r := range d2.recs {
+		j := 0
+		if _, err := scanJournal(filepath.Join(d2.Dir(), "journal"), false, func(r Record) {
 			b, _ := json.Marshal(r)
 			if string(b) != wantJSON[j] {
 				t.Fatalf("byte %d: record %d content altered:\n  got  %s\n  want %s", i, j, b, wantJSON[j])
 			}
+			j++
+		}); err != nil {
+			t.Fatalf("byte %d: rescan: %v", i, err)
 		}
-		d2.mu.Unlock()
 		d2.Close()
 	}
 }

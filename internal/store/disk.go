@@ -36,7 +36,9 @@ func (o DiskOptions) withDefaults() DiskOptions {
 // plus content-addressed blob files under <dir>/blobs. Opening scans the
 // journal, truncates a torn tail left by a crash and fails loudly on
 // genuine corruption, so Recover after OpenDisk always reflects a
-// consistent record prefix.
+// consistent record prefix. Records are not kept in memory: Recover
+// re-scans the segment files, so a long-running store's heap does not
+// grow with its journal.
 type DiskStore struct {
 	dir string
 	opt DiskOptions
@@ -47,7 +49,7 @@ type DiskStore struct {
 	segBytes int64
 	segments int
 	nextSeq  uint64
-	recs     []Record // scanned at open + appended since
+	records  int // scanned at open + appended since
 	torn     int64
 	tornRecs int
 	stats    Stats
@@ -95,67 +97,92 @@ func OpenDisk(dir string, opt DiskOptions) (*DiskStore, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d := &DiskStore{dir: dir, opt: opt}
-	if err := d.scanJournal(jdir); err != nil {
+	sc, err := scanJournal(jdir, true, func(Record) { d.records++ })
+	if err != nil {
 		return nil, err
 	}
+	d.nextSeq = sc.maxSeq
+	d.segments = len(sc.names)
+	d.stats.JournalBytes = sc.bytes
+	d.torn = sc.torn
+	if sc.torn > 0 {
+		d.tornRecs = 1
+	}
+	if len(sc.names) == 0 {
+		if err := d.openSegment(1); err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+	last := sc.names[len(sc.names)-1]
+	f, err := os.OpenFile(filepath.Join(jdir, last), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: open journal segment for append: %w", err)
+	}
+	d.seg = f
+	d.segIdx, _ = segmentIndex(last)
+	d.segBytes = sc.lastBytes
 	return d, nil
 }
 
-// scanJournal replays every segment in order, truncating a torn tail on
-// the last one and opening it for append.
-func (d *DiskStore) scanJournal(jdir string) error {
+// journalScan summarizes one pass over the journal segments.
+type journalScan struct {
+	names     []string // segment file names, in order
+	maxSeq    uint64   // sequence of the last valid record
+	bytes     int64    // clean bytes over all segments
+	lastBytes int64    // clean bytes of the last segment
+	torn      int64    // bytes of a torn tail on the last segment
+}
+
+// scanJournal decodes every segment under jdir in order, checks sequence
+// continuity and hands each record to fn. A torn tail on the last
+// segment — the residue of a crash mid-append — ends the scan; with
+// truncate (at open) it is also cut from the file. Any other decode or
+// sequence failure is an error wrapping ErrCorrupt.
+func scanJournal(jdir string, truncate bool, fn func(Record)) (journalScan, error) {
+	var sc journalScan
 	names, err := segmentNames(jdir)
 	if err != nil {
-		return err
+		return sc, err
 	}
-	if len(names) == 0 {
-		return d.openSegment(1)
-	}
+	sc.names = names
 	for i, name := range names {
 		last := i == len(names)-1
 		path := filepath.Join(jdir, name)
 		buf, err := os.ReadFile(path)
 		if err != nil {
-			return fmt.Errorf("store: read journal segment: %w", err)
+			return sc, fmt.Errorf("store: read journal segment: %w", err)
 		}
 		off := 0
 		for off < len(buf) {
 			rec, n, derr := DecodeRecord(buf[off:])
 			if derr != nil {
 				if last && errors.Is(derr, ErrTorn) {
-					// The residue of a crash mid-append: drop the tail.
-					d.torn = int64(len(buf) - off)
-					d.tornRecs = 1
-					if err := os.Truncate(path, int64(off)); err != nil {
-						return fmt.Errorf("store: truncate torn tail of %s: %w", name, err)
+					sc.torn = int64(len(buf) - off)
+					if truncate {
+						if err := os.Truncate(path, int64(off)); err != nil {
+							return sc, fmt.Errorf("store: truncate torn tail of %s: %w", name, err)
+						}
 					}
 					buf = buf[:off]
 					break
 				}
-				return fmt.Errorf("store: segment %s offset %d: %w", name, off, derr)
+				return sc, fmt.Errorf("store: segment %s offset %d: %w", name, off, derr)
 			}
-			if rec.Seq != d.nextSeq+1 {
-				return fmt.Errorf("%w: segment %s offset %d: sequence %d after %d",
-					ErrCorrupt, name, off, rec.Seq, d.nextSeq)
+			if rec.Seq != sc.maxSeq+1 {
+				return sc, fmt.Errorf("%w: segment %s offset %d: sequence %d after %d",
+					ErrCorrupt, name, off, rec.Seq, sc.maxSeq)
 			}
-			d.nextSeq = rec.Seq
-			d.recs = append(d.recs, rec)
+			sc.maxSeq = rec.Seq
+			fn(rec)
 			off += n
 		}
-		d.segments++
-		d.stats.JournalBytes += int64(len(buf))
+		sc.bytes += int64(len(buf))
 		if last {
-			idx, _ := segmentIndex(name)
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("store: open journal segment for append: %w", err)
-			}
-			d.seg = f
-			d.segIdx = idx
-			d.segBytes = int64(len(buf))
+			sc.lastBytes = int64(len(buf))
 		}
 	}
-	return nil
+	return sc, nil
 }
 
 func segmentNames(jdir string) ([]string, error) {
@@ -240,7 +267,7 @@ func (d *DiskStore) Append(rec Record) (uint64, error) {
 		}
 	}
 	d.nextSeq = rec.Seq
-	d.recs = append(d.recs, rec)
+	d.records++
 	d.segBytes += int64(len(buf))
 	d.stats.Appends++
 	d.stats.JournalBytes += int64(len(buf))
@@ -256,15 +283,21 @@ func (d *DiskStore) Append(rec Record) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// Recover implements Store.
+// Recover implements Store by re-scanning the segment files under the
+// store lock, so no append interleaves with the scan. The torn-tail
+// counts are those OpenDisk found.
 func (d *DiskStore) Recover() (*Recovery, error) {
 	d.mu.Lock()
-	recs := append([]Record(nil), d.recs...)
-	torn, tornRecs := d.torn, d.tornRecs
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	var recs []Record
+	if _, err := scanJournal(filepath.Join(d.dir, "journal"), false, func(r Record) {
+		recs = append(recs, r)
+	}); err != nil {
+		return nil, err
+	}
 	rec := Fold(recs)
-	rec.TornBytes = torn
-	rec.TornRecords = tornRecs
+	rec.TornBytes = d.torn
+	rec.TornRecords = d.tornRecs
 	return rec, nil
 }
 
@@ -273,7 +306,7 @@ func (d *DiskStore) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.stats
-	st.Records = len(d.recs)
+	st.Records = d.records
 	st.Segments = d.segments
 	st.TornBytes = d.torn
 	return st

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -168,6 +170,48 @@ func TestMemDiskFoldEquivalence(t *testing.T) {
 	mb, _ := json.Marshal(mr)
 	if !bytes.Equal(db, mb) {
 		t.Fatalf("disk and mem folds differ:\n  disk %s\n  mem  %s", db, mb)
+	}
+}
+
+// TestDiskHoldsNoRecordsInMemory appends records carrying ~2 KiB specs
+// and checks that the live heap does not grow with them: a durable
+// daemon's journal lives on disk, and Recover re-reads it from there.
+func TestDiskHoldsNoRecordsInMemory(t *testing.T) {
+	const n, specBytes = 4000, 2048
+	d, err := OpenDisk(t.TempDir(), DiskOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	pad := strings.Repeat("x", specBytes)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < n; i++ {
+		// A fresh spec per record, as the service marshals one per submit.
+		spec := json.RawMessage(fmt.Sprintf(`{"seed":%d,"pad":%q}`, i, pad))
+		if _, err := d.Append(Record{Kind: KindSubmit, ID: fmt.Sprintf("c%06d", i+1), Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	// Holding the records would retain n·specBytes ≈ 8 MiB.
+	if grew := int64(after) - int64(before); grew > 1<<20 {
+		t.Fatalf("live heap grew %d bytes over %d appends", grew, n)
+	}
+	if st := d.Stats(); st.Records != n || st.Appends != n {
+		t.Fatalf("stats records/appends = %d/%d, want %d", st.Records, st.Appends, n)
+	}
+	rec, err := d.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != n || rec.MaxSeq != n || len(rec.Campaigns) != n {
+		t.Fatalf("recovered %d records (max seq %d, %d campaigns), want %d", rec.Records, rec.MaxSeq, len(rec.Campaigns), n)
 	}
 }
 

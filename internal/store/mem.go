@@ -10,8 +10,8 @@ import (
 
 // MemStore is the in-memory Store: the exact pre-persistence service
 // behavior (nothing survives the process), behind the same interface so
-// the service, the coordinator and the differential tests can swap it
-// against DiskStore record for record.
+// the service and the differential tests can swap it against DiskStore
+// record for record. Its records are its persistence, so it keeps them.
 type MemStore struct {
 	mu      sync.Mutex
 	recs    []Record
