@@ -334,10 +334,7 @@ func (l *Layout) FixedWiring() []route.EdgeID { return l.fixedWiring }
 // "inter-tile interconnect is minimized").
 func (l *Layout) drawBoundaries() error {
 	sites := l.Dev.NumCLBSites()
-	target := l.Spec.TileCLBs
-	if target <= 0 {
-		target = int(math.Round(l.Spec.TileFrac * float64(sites)))
-	}
+	target := int(math.Round(l.Spec.TileFrac * float64(sites)))
 	if target < 1 {
 		target = 1
 	}

@@ -30,9 +30,6 @@ type ChangeReport struct {
 	Effort        Effort
 	// ReroutedNets counts nets whose wiring changed.
 	ReroutedNets int
-	// ReroutedNetIDs lists them (the incremental timing engine's seed
-	// set).
-	ReroutedNetIDs []netlist.NetID
 }
 
 // ApplyDelta implements the paper's per-iteration physical update
@@ -58,7 +55,6 @@ func (l *Layout) ApplyDelta(d Delta) (*ChangeReport, error) {
 		return nil, err
 	}
 	l.Commit(cp)
-	l.timingApply(d, rep)
 	return rep, nil
 }
 
@@ -164,7 +160,6 @@ func (l *Layout) applyDelta(d Delta) (*ChangeReport, error) {
 		}
 		rep.AffectedTiles = affected
 		rep.ReroutedNets = len(rerouted)
-		rep.ReroutedNetIDs = rerouted
 		break
 	}
 	rep.Effort.Wall = time.Since(start)

@@ -18,9 +18,6 @@ type Spec struct {
 	// (the paper's Table 1 uses ≈0.20; below 0.10 there is no room to
 	// maneuver).
 	Overhead float64
-	// TileCLBs is the target tile size in CLB sites. When zero, TileFrac
-	// is used instead.
-	TileCLBs int
 	// TileFrac is the target tile size as a fraction of the device's CLB
 	// sites (Figure 5 sweeps 0.025, 0.05, 0.15, 0.25). Defaults to 0.10.
 	TileFrac float64
@@ -52,7 +49,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Overhead == 0 {
 		s.Overhead = 0.20
 	}
-	if s.TileCLBs == 0 && s.TileFrac == 0 {
+	if s.TileFrac == 0 {
 		s.TileFrac = 0.10
 	}
 	if s.PlaceEffort == 0 {
@@ -137,16 +134,14 @@ type Layout struct {
 	// journal and txnDepth implement layout transactions (txn.go).
 	journal  []physOp
 	txnDepth int
-	// sta is the optional incremental timing engine state (sta.go).
-	sta *staState
-	// obs is the attached per-campaign trace; place/route/sta spans land
+	// obs is the attached per-campaign trace; place/route spans land
 	// on it. Clones start detached (nil) and a nil trace is a no-op, so
 	// untraced layouts pay one pointer test per phase. See SetObs.
 	obs *obs.Trace
 }
 
-// SetObs attaches a per-campaign trace: subsequent placement anneals,
-// router passes and timing resyncs open place/route/sta spans on it.
+// SetObs attaches a per-campaign trace: subsequent placement anneals
+// and router passes open place/route spans on it.
 // Pass nil to detach — the service's layout pool does this at check-in
 // so a pooled layout never writes to a finished campaign's trace.
 func (l *Layout) SetObs(t *obs.Trace) {

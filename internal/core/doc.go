@@ -18,8 +18,8 @@
 // routes; Rollback restores the layout bit-identically in O(changes)
 // and Commit nests. ApplyDelta runs inside its own transaction, so a
 // failed update can never leave a half-mutated layout. A persistent
-// route.Router and an optional incremental timing.Engine (EnableTiming)
-// ride along, giving the debug loop tile-local routing and delta STA
+// route.Router rides along, giving the debug loop tile-local routing
 // without per-update setup cost; StateDigest and VerifyLayout are the
-// bit-identity and invariant oracles over all of it.
+// bit-identity and invariant oracles over all of it. TimingInput hands
+// the placed-and-routed state to timing.Analyze for Table 1's overhead.
 package core

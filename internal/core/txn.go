@@ -94,23 +94,16 @@ func (l *Layout) Commit(cp Checkpoint) {
 }
 
 // Rollback restores the layout to the checkpointed state in O(changes)
-// and closes the checkpoint. The incremental timing engine, when
-// enabled, is resynchronized over exactly the rolled-back cells and
-// nets.
+// and closes the checkpoint.
 func (l *Layout) Rollback(cp Checkpoint) error {
 	if l.txnDepth != cp.depth {
 		return fmt.Errorf("core: Rollback out of order: depth %d, checkpoint depth %d", l.txnDepth, cp.depth)
 	}
-	var cells []netlist.CellID
-	var nets []netlist.NetID
 	for i := len(l.journal) - 1; i >= cp.phys; i-- {
 		op := &l.journal[i]
 		switch op.kind {
 		case opCLBLoc:
 			l.CLBLoc[op.idx] = op.xy
-			if op.idx < len(l.Packed.CLBs) {
-				cells = append(cells, l.Packed.CLBs[op.idx].Cells()...)
-			}
 		case opCLBLocGrow:
 			l.CLBLoc = l.CLBLoc[:op.idx]
 		case opPad:
@@ -119,14 +112,12 @@ func (l *Layout) Rollback(cp Checkpoint) error {
 			} else {
 				delete(l.PadLoc, op.net)
 			}
-			nets = append(nets, op.net)
 		case opRoute:
 			if op.existed {
 				l.Routes[op.net] = op.route
 			} else {
 				delete(l.Routes, op.net)
 			}
-			nets = append(nets, op.net)
 		case opSeq:
 			l.seq = op.idx
 		case opConfig:
@@ -134,17 +125,13 @@ func (l *Layout) Rollback(cp Checkpoint) error {
 		}
 	}
 	l.journal = l.journal[:cp.phys]
-	pc := l.Packed.RollbackJournal(cp.pack)
-	nc, nn := l.NL.RollbackJournal(cp.nl)
-	cells = append(cells, pc...)
-	cells = append(cells, nc...)
-	nets = append(nets, nn...)
+	l.Packed.RollbackJournal(cp.pack)
+	l.NL.RollbackJournal(cp.nl)
 	l.txnDepth--
 	if l.txnDepth == 0 {
 		l.NL.SetJournaling(false)
 		l.Packed.SetJournaling(false)
 	}
-	l.timingResync(cells, nets)
 	return nil
 }
 

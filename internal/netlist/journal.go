@@ -61,16 +61,12 @@ func (n *Netlist) TruncateJournal(mark int) {
 }
 
 // RollbackJournal undoes every mutation recorded at or beyond mark, in
-// reverse order, and truncates the journal to mark. It returns the cells
-// and nets whose state was touched by the rollback (for incremental
-// timing resynchronization); both may contain IDs that no longer exist
-// after the rollback (rolled-back additions).
-func (n *Netlist) RollbackJournal(mark int) (cells []CellID, nets []NetID) {
+// reverse order, and truncates the journal to mark.
+func (n *Netlist) RollbackJournal(mark int) {
 	for i := len(n.journal) - 1; i >= mark; i-- {
 		op := &n.journal[i]
 		switch op.kind {
 		case opNetAdded:
-			nets = append(nets, op.net)
 			delete(n.netByName, op.name)
 			if int(op.net) != len(n.Nets)-1 {
 				panic(fmt.Sprintf("netlist: journal out of order: net %d is not the newest (%d)", op.net, len(n.Nets)-1))
@@ -81,7 +77,6 @@ func (n *Netlist) RollbackJournal(mark int) (cells []CellID, nets []NetID) {
 		case opPOAdded:
 			n.POs = n.POs[:len(n.POs)-1]
 		case opCellAdded:
-			cells = append(cells, op.cell)
 			c := &n.Cells[op.cell]
 			if n.Nets[c.Out].Driver == op.cell {
 				n.Nets[c.Out].Driver = NilCell
@@ -92,16 +87,12 @@ func (n *Netlist) RollbackJournal(mark int) (cells []CellID, nets []NetID) {
 			}
 			n.Cells = n.Cells[:op.cell]
 		case opFaninSet:
-			cells = append(cells, op.cell)
 			n.Cells[op.cell].Fanin[op.pin] = op.net
 		case opFuncSet:
-			cells = append(cells, op.cell)
 			n.Cells[op.cell].Func = op.fn
 		case opInitSet:
-			cells = append(cells, op.cell)
 			n.Cells[op.cell].Init = op.init
 		case opCellRemoved:
-			cells = append(cells, op.cell)
 			c := &n.Cells[op.cell]
 			c.Dead = false
 			n.cellByName[op.name] = op.cell
@@ -109,7 +100,6 @@ func (n *Netlist) RollbackJournal(mark int) (cells []CellID, nets []NetID) {
 				n.Nets[c.Out].Driver = op.cell
 			}
 		case opNetRemoved:
-			nets = append(nets, op.net)
 			n.Nets[op.net].Dead = false
 			n.netByName[op.name] = op.net
 		}
@@ -118,7 +108,6 @@ func (n *Netlist) RollbackJournal(mark int) (cells []CellID, nets []NetID) {
 		n.version++
 	}
 	n.journal = n.journal[:mark]
-	return cells, nets
 }
 
 // Version returns the netlist's mutation counter: every mutating method

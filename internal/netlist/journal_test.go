@@ -55,10 +55,7 @@ func TestJournalRollbackRestoresFingerprint(t *testing.T) {
 		t.Fatal("mutations did not change the fingerprint")
 	}
 
-	cells, nets := n.RollbackJournal(mark)
-	if len(cells) == 0 || len(nets) == 0 {
-		t.Fatal("rollback reported no touched cells/nets")
-	}
+	n.RollbackJournal(mark)
 	if got := n.Fingerprint(); got != want {
 		t.Fatalf("rollback did not restore the netlist: %s != %s", got, want)
 	}

@@ -3,7 +3,7 @@
 // and fixed-bucket power-of-2-nanosecond latency histograms with
 // p50/p90/p99 snapshots) plus lightweight spans that assemble into a
 // per-campaign StageTrace — one timestamp+duration pair per pipeline
-// stage (queue, synth, map, place, route, sta, compile, goldentrace,
+// stage (queue, synth, map, place, route, compile, goldentrace,
 // detect, localize-dict, localize-probe, repair-enumerate,
 // repair-validate, eco-verify, faultscan).
 //

@@ -18,7 +18,6 @@ const (
 	StageMap             = "map"
 	StagePlace           = "place"
 	StageRoute           = "route"
-	StageSTA             = "sta"
 	StageCompile         = "compile"
 	StageGoldenTrace     = "goldentrace"
 	StageDetect          = "detect"
@@ -36,7 +35,7 @@ const (
 // trace; stages a campaign never entered are simply absent.
 var StageOrder = []string{
 	StageQueue, StageRecover, StageResume,
-	StageSynth, StageMap, StagePlace, StageRoute, StageSTA,
+	StageSynth, StageMap, StagePlace, StageRoute,
 	StageCompile, StageGoldenTrace, StageDetect, StageLocalizeDict,
 	StageLocalizeCausal, StageProbeSwitch,
 	StageLocalizeProbe, StageRepairEnumerate, StageRepairValidate,

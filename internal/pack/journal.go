@@ -38,14 +38,12 @@ func (p *Packed) TruncateJournal(mark int) {
 }
 
 // RollbackJournal undoes every packing mutation recorded at or beyond
-// mark, in reverse order, and truncates the journal. It returns the cells
-// whose packing changed.
-func (p *Packed) RollbackJournal(mark int) (cells []netlist.CellID) {
+// mark, in reverse order, and truncates the journal.
+func (p *Packed) RollbackJournal(mark int) {
 	for i := len(p.journal) - 1; i >= mark; i-- {
 		op := &p.journal[i]
 		switch op.kind {
 		case opAssign:
-			cells = append(cells, op.cell)
 			b := &p.CLBs[op.clb]
 			if op.isLUT {
 				b.LUTs = b.LUTs[:len(b.LUTs)-1]
@@ -54,7 +52,6 @@ func (p *Packed) RollbackJournal(mark int) (cells []netlist.CellID) {
 			}
 			delete(p.CellCLB, op.cell)
 		case opUnassign:
-			cells = append(cells, op.cell)
 			b := &p.CLBs[op.clb]
 			if op.isLUT {
 				b.LUTs = insertAt(b.LUTs, op.idx, op.cell)
@@ -67,7 +64,6 @@ func (p *Packed) RollbackJournal(mark int) (cells []netlist.CellID) {
 		}
 	}
 	p.journal = p.journal[:mark]
-	return cells
 }
 
 func (p *Packed) record(op packOp) {

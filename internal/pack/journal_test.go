@@ -65,10 +65,7 @@ func TestPackJournalRollback(t *testing.T) {
 		t.Fatal("mutations did not change the packing")
 	}
 
-	cells := p.RollbackJournal(mark)
-	if len(cells) == 0 {
-		t.Fatal("rollback reported no touched cells")
-	}
+	p.RollbackJournal(mark)
 	if got := packDigest(p); got != want {
 		t.Fatalf("rollback did not restore packing:\n got %s\nwant %s", got, want)
 	}

@@ -405,7 +405,7 @@ func (e *Engine) SearchRewires(suspects []string, detStim [][]uint64, cfg Config
 	if len(survivors) == 0 {
 		return out, nil
 	}
-	verifyStim := testgenScalar(e.NumPIs(), cfg.VerifyPatterns, cfg.Seed+verifySeedOffset, cfg.VerifyCycles)
+	verifyStim := testgenScalar(e.NumPIs(), verifyPatterns, cfg.Seed+verifySeedOffset, cfg.VerifyCycles)
 	verified, err := e.SerialValidate(survivors, verifyStim)
 	if err != nil {
 		return nil, err

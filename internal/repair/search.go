@@ -18,25 +18,28 @@ import (
 // noise. Callers fall back to probe-based flows.
 var ErrNotExcited = errors.New("repair: stimulus does not excite the error")
 
-// Config tunes one candidate search.
-type Config struct {
-	// ObservePatterns extends the resynthesis observation beyond the
+// Search stimulus sizes.
+const (
+	// observePatterns extends the resynthesis observation beyond the
 	// detection stimulus with this many extra broadcast patterns, so
-	// rarely excited minterms still get observed (default 256, 0 keeps
-	// the default; negative disables the extension).
-	ObservePatterns int
-	// VerifyPatterns sizes the independent verification stimulus
-	// survivors are ranked by (default 128).
-	VerifyPatterns int
-	// VerifyCycles holds each verification pattern for this many clock
-	// cycles (default 2).
-	VerifyCycles int
-	// RefineRounds bounds the observation-refinement loop: when no
+	// rarely excited minterms still get observed.
+	observePatterns = 256
+	// verifyPatterns sizes the independent verification stimulus
+	// survivors are ranked by.
+	verifyPatterns = 128
+	// refineRounds bounds the observation-refinement loop: when no
 	// survivor verifies, the failed verification stimulus — golden
 	// behaviour, i.e. ground truth — is folded into the resynthesis
 	// observation and the search repeats with a fresh verification
-	// stream (default 2 rounds total).
-	RefineRounds int
+	// stream.
+	refineRounds = 2
+)
+
+// Config tunes one candidate search.
+type Config struct {
+	// VerifyCycles holds each verification pattern for this many clock
+	// cycles (default 2).
+	VerifyCycles int
 	// Seed derives the observation and verification streams; they are
 	// drawn from offsets of it so neither replays the detection stimulus.
 	Seed int64
@@ -51,17 +54,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ObservePatterns == 0 {
-		c.ObservePatterns = 256
-	}
-	if c.VerifyPatterns < 1 {
-		c.VerifyPatterns = 128
-	}
 	if c.VerifyCycles < 1 {
 		c.VerifyCycles = 2
-	}
-	if c.RefineRounds < 1 {
-		c.RefineRounds = 2
 	}
 	return c
 }
@@ -447,7 +441,7 @@ func rankLess(a, b Candidate) bool {
 
 // Search runs the full candidate-search pipeline for a suspect set:
 // enumerate candidates (resynthesis observed under detStim plus
-// cfg.ObservePatterns extra broadcast patterns), validate them
+// observePatterns extra broadcast patterns), validate them
 // lane-parallel against the golden oracle on detStim, re-validate the
 // survivors on an independent verification stimulus, and rank what
 // remains by minimality. detStim must be broadcast scalar stimulus that
@@ -509,12 +503,9 @@ func (e *Engine) search(suspects []string, det *stimulus, cfg Config) (*Outcome,
 	}
 	detIHits, detIMisses := e.implHits-ihits, e.implMisses-imisses
 
-	observe := det
-	if cfg.ObservePatterns > 0 {
-		observe = concat(det, e.derived("s", cfg.ObservePatterns, cfg.Seed+obsSeedOffset, cfg.VerifyCycles, testgen.ScalarBlocks))
-	}
+	observe := concat(det, e.derived("s", observePatterns, cfg.Seed+obsSeedOffset, cfg.VerifyCycles, testgen.ScalarBlocks))
 	out := &Outcome{}
-	for round := 0; round < cfg.RefineRounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		esp := cfg.Obs.Start(obs.StageRepairEnumerate)
 		hits, misses = e.oracleHits, e.oracleMisses
 		cands, err := e.enumerate(suspects, observe)
@@ -552,7 +543,7 @@ func (e *Engine) search(suspects []string, det *stimulus, cfg Config) (*Outcome,
 			return out, nil
 		}
 
-		verify := e.derived("s", cfg.VerifyPatterns,
+		verify := e.derived("s", verifyPatterns,
 			cfg.Seed+verifySeedOffset+int64(round)*verifySeedStride, cfg.VerifyCycles, testgen.ScalarBlocks)
 		wsp := cfg.Obs.Start(obs.StageRepairValidate)
 		hits, misses = e.oracleHits, e.oracleMisses

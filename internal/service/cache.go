@@ -71,9 +71,9 @@ func (c *Cache) GetOrBuild(key string, build func() (any, int64, error)) (val an
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
-		e := el.Value.(*cacheEntry)
+		val := el.Value.(*cacheEntry).val // Put rewrites val under c.mu
 		c.mu.Unlock()
-		return e.val, true, nil
+		return val, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.dedups++

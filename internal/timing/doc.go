@@ -6,10 +6,6 @@
 // Table 1's timing-overhead column is the ratio of tiled to untiled
 // critical path minus one.
 //
-// Analyze is the one-shot analyzer; Engine is its incremental twin for
-// the debug loop: it keeps per-net arrival times and recomputes only
-// the forward cones of the cells and nets a physical update touched,
-// with results pinned bit-identical to Analyze (Engine.SelfCheck).
-// core.Layout.EnableTiming drives it from every ApplyDelta and
-// transaction rollback.
+// Analyze runs one full analysis over a core.Layout.TimingInput
+// snapshot; Table 1 and cmd/tileplan call it once per layout.
 package timing
