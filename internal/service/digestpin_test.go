@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -128,9 +129,92 @@ func TestCampaignDigestsPinned(t *testing.T) {
 			t.Fatalf("%s: %v", pinName(sp), err)
 		}
 		name := pinName(sp)
+		if want, ok := pinnedShapes[name]; !ok || !want.admits(res) {
+			t.Errorf("%q: %s, // shape drifted (want %s)", name, shapeOf(res), want)
+		}
 		if want := pinnedDigests[name]; res.Digest != want {
 			t.Errorf("%q: %q, // digest drifted (want %q); tile work %.0f, full work %.0f",
 				name, res.Digest, want, res.TileWork, res.FullWork)
 		}
 	}
+}
+
+// campaignShape is what a pinned campaign found and did, without the CAD
+// effort it paid: detection, localization, the corrections and how they
+// were won, and the overlay's use. A change that only makes physical
+// updates cheaper moves a campaign's digest (TileWork enters it) but
+// must leave its shape alone, and may lower its TileWork but never raise
+// it; pinnedShapes holds it to that.
+type campaignShape struct {
+	Detected, Clean                   bool
+	Iterations, Rounds, Probes        int
+	Fixed                             []string
+	Dict, Repaired                    int
+	Kind                              string
+	Candidates, Survivors, Batches    int
+	ECOVerified, Fallback             bool
+	OverlaySwitches, OverlayFallbacks int
+	// MaxTileWork bounds the campaign's tile-local CAD work from above.
+	MaxTileWork float64
+}
+
+func shapeOf(r *Result) campaignShape {
+	return campaignShape{
+		Detected: r.Detected, Clean: r.Clean,
+		Iterations: r.Iterations, Rounds: r.Rounds, Probes: r.ProbesInserted,
+		Fixed: r.Fixed, Dict: r.DictResolved, Repaired: r.Repaired, Kind: r.RepairKind,
+		Candidates: r.Candidates, Survivors: r.Survivors, Batches: r.CandidateBatches,
+		ECOVerified: r.ECOVerified, Fallback: r.RepairFallback,
+		OverlaySwitches: r.OverlaySwitches, OverlayFallbacks: r.OverlayFallbacks,
+		MaxTileWork: r.TileWork,
+	}
+}
+
+// admits reports whether r has this shape and no more tile work than
+// MaxTileWork.
+func (s campaignShape) admits(r *Result) bool {
+	got := shapeOf(r)
+	got.MaxTileWork = s.MaxTileWork
+	return reflect.DeepEqual(got, s) && r.TileWork <= s.MaxTileWork
+}
+
+// String renders the shape as a pinnedShapes literal.
+func (s campaignShape) String() string {
+	return fmt.Sprintf("{%v, %v, %d, %d, %d, %#v, %d, %d, %q, %d, %d, %d, %v, %v, %d, %d, %.0f}",
+		s.Detected, s.Clean, s.Iterations, s.Rounds, s.Probes, s.Fixed, s.Dict, s.Repaired, s.Kind,
+		s.Candidates, s.Survivors, s.Batches, s.ECOVerified, s.Fallback,
+		s.OverlaySwitches, s.OverlayFallbacks, s.MaxTileWork)
+}
+
+// pinnedShapes are the pinned campaigns' shapes (field order as in
+// campaignShape), recorded while every correction still paid a tile
+// re-place-and-route. A re-recorded digest must keep its shape and may
+// only lower its tile work.
+var pinnedShapes = map[string]campaignShape{
+	"9sym/debug/f3/ov=false":                  {true, true, 1, 3, 10, []string{"m_9sym/f_c0_c0_c0_c0~7"}, 0, 1, "resynth", 44, 1, 2, true, false, 0, 0, 10084},
+	"9sym/repair/f2/ov=false":                 {true, true, 1, 4, 16, []string{"m_9sym/f_c0_c0_c0_c0~7"}, 0, 0, "", 0, 0, 0, false, true, 0, 0, 48951},
+	"9sym/debug/f4/ov=true":                   {true, true, 1, 2, 5, []string{"m_9sym/f_c1_c1_c1_c0~489"}, 0, 1, "pin-swap", 11, 2, 2, true, false, 3, 0, 2403},
+	"9sym/faultscan/f0/ov=false":              {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"9sym/faultscan/f0/ov=false/seu":          {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"9sym/faultscan/f0/ov=false/interconnect": {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"9sym/repair/f1/ov=false/l64":             {true, true, 1, 0, 0, []string{"m_9sym/f_c1_c0_c1_c0~355"}, 1, 1, "bit-flip", 37, 2, 2, true, false, 0, 0, 1498},
+	"9sym/repair/f1/ov=false/l256":            {true, true, 1, 0, 0, []string{"m_9sym/f_c1_c0_c1_c0~355"}, 1, 1, "bit-flip", 37, 2, 2, true, false, 0, 0, 1498},
+	"9sym/repair/f4/ov=false/l64":             {true, true, 1, 0, 0, []string{"m_9sym/f_c1_c1_c1_c0~489"}, 1, 1, "pin-swap", 11, 2, 2, true, false, 0, 0, 2403},
+	"9sym/repair/f4/ov=false/l256":            {true, true, 1, 0, 0, []string{"m_9sym/f_c1_c1_c1_c0~489"}, 1, 1, "pin-swap", 11, 2, 2, true, false, 0, 0, 2403},
+	"9sym/repair/f7/ov=false/l64":             {true, true, 1, 4, 16, []string{"m_9sym/f_c1~2"}, 0, 1, "resynth", 422, 1, 8, true, false, 0, 0, 27874},
+	"9sym/repair/f7/ov=false/l256":            {true, true, 1, 4, 16, []string{"m_9sym/f_c1~2"}, 0, 1, "resynth", 422, 1, 3, true, false, 0, 0, 27874},
+	"c880/debug/f3/ov=false":                  {true, true, 1, 4, 13, []string{"m_c880/res/l0_3/m0.99"}, 0, 1, "resynth", 23, 1, 2, true, false, 0, 0, 26853},
+	"c880/repair/f2/ov=false":                 {true, true, 1, 4, 14, []string{"m_c880/res/l0_3/m0.99"}, 0, 1, "resynth", 22, 1, 2, true, false, 0, 0, 39171},
+	"c880/debug/f4/ov=true":                   {true, true, 1, 2, 6, []string{"m_c880/res/l0_3/m0.99"}, 0, 1, "resynth", 22, 2, 2, true, false, 3, 0, 9454},
+	"c880/faultscan/f0/ov=false":              {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"c880/faultscan/f0/ov=false/seu":          {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"c880/faultscan/f0/ov=false/interconnect": {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"c499/debug/f3/ov=false":                  {true, true, 1, 3, 11, []string{"m_c499/dec28~202"}, 0, 1, "resynth", 110, 1, 3, true, false, 0, 0, 75418},
+	"c499/repair/f2/ov=false":                 {true, true, 1, 3, 11, []string{"m_c499/dec28~202"}, 0, 0, "", 0, 0, 0, false, true, 0, 0, 140811},
+	"c499/debug/f4/ov=true":                   {true, true, 1, 1, 3, []string{"m_c499/dec28~202"}, 0, 1, "pin-swap", 21, 1, 2, true, false, 2, 0, 15745},
+	"c499/faultscan/f0/ov=false":              {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"c499/faultscan/f0/ov=false/seu":          {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"c499/faultscan/f0/ov=false/interconnect": {true, false, 0, 0, 0, []string(nil), 0, 0, "", 0, 0, 0, false, false, 0, 0, 0},
+	"c499/repair/f4/ov=false/l64":             {true, true, 1, 3, 11, []string{"m_c499/dec28~202"}, 0, 1, "pin-swap", 109, 1, 3, true, false, 0, 0, 75418},
+	"c499/repair/f4/ov=false/l256":            {true, true, 1, 3, 11, []string{"m_c499/dec28~202"}, 0, 1, "pin-swap", 109, 1, 2, true, false, 0, 0, 75418},
 }
