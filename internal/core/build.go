@@ -98,42 +98,100 @@ func buildMappedOnce(mapped *netlist.Netlist, spec Spec) (*Layout, error) {
 	return l, nil
 }
 
-// netBlockPins returns the distinct block pin coordinates of a net (driver
-// block first) under the current placement, and whether each pin lies on a
-// CLB (vs pad).
-func (l *Layout) netPins(net netlist.NetID) []device.XY {
-	nl := l.NL
-	var pins []device.XY
-	seen := make(map[device.XY]bool)
-	add := func(p device.XY) {
-		if !seen[p] {
-			seen[p] = true
-			pins = append(pins, p)
-		}
-	}
-	if d := nl.Nets[net].Driver; d != netlist.NilCell && !nl.Cells[d].Dead {
-		add(l.CLBLoc[l.Packed.CellCLB[d]])
-	} else if p, ok := l.PadLoc[net]; ok && nl.IsPI(net) {
-		add(p)
-	}
+// fanoutIndex lists every net's live sink cells in cell-ID order (a cell
+// reading a net on several pins appears once per pin) as one flat slice
+// cut by offsets: net n's sinks are cells[start[n]:start[n+1]].
+type fanoutIndex struct {
+	start []int32
+	cells []netlist.CellID
+}
+
+func newFanoutIndex(nl *netlist.Netlist) fanoutIndex {
+	start := make([]int32, len(nl.Nets)+1)
 	for ci := range nl.Cells {
-		c := &nl.Cells[ci]
-		if c.Dead {
+		if nl.Cells[ci].Dead {
 			continue
 		}
-		for _, f := range c.Fanin {
-			if f == net {
-				add(l.CLBLoc[l.Packed.CellCLB[netlist.CellID(ci)]])
-				break
+		for _, f := range nl.Cells[ci].Fanin {
+			start[f+1]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	cells := make([]netlist.CellID, start[len(nl.Nets)])
+	next := append([]int32(nil), start[:len(nl.Nets)]...)
+	for ci := range nl.Cells {
+		if nl.Cells[ci].Dead {
+			continue
+		}
+		for _, f := range nl.Cells[ci].Fanin {
+			cells[next[f]] = netlist.CellID(ci)
+			next[f]++
+		}
+	}
+	return fanoutIndex{start: start, cells: cells}
+}
+
+func (fo fanoutIndex) sinks(net netlist.NetID) []netlist.CellID {
+	return fo.cells[fo.start[net]:fo.start[net+1]]
+}
+
+// padNets flags the primary-input and primary-output nets by NetID.
+func padNets(nl *netlist.Netlist) (isPI, isPO []bool) {
+	isPI = make([]bool, len(nl.Nets))
+	isPO = make([]bool, len(nl.Nets))
+	for _, n := range nl.PIs {
+		isPI[n] = true
+	}
+	for _, n := range nl.POs {
+		isPO[n] = true
+	}
+	return isPI, isPO
+}
+
+// netPinTable returns the distinct block pin coordinates of every net
+// under the current placement, indexed by NetID (empty for dead nets),
+// computed in one pass over the cells. A net lists its driver CLB first
+// (or, with no live driver, its primary-input pad), then its sinks' CLBs
+// in cell-ID order, then its primary-output pad; a coordinate shared by
+// several blocks appears once. The slices share one backing array, so a
+// caller that keeps one beyond the current update copies it.
+func (l *Layout) netPinTable() [][]device.XY {
+	nl := l.NL
+	fo := newFanoutIndex(nl)
+	isPI, isPO := padNets(nl)
+	table := make([][]device.XY, len(nl.Nets))
+	pins := make([]device.XY, 0, len(fo.cells)+2*len(nl.Nets))
+	seen := make([]int32, l.Grid.NumNodes()) // net ID + 1 of the last net to list a node
+	for ni := range nl.Nets {
+		if nl.Nets[ni].Dead {
+			continue
+		}
+		net := netlist.NetID(ni)
+		first := len(pins)
+		add := func(p device.XY) {
+			if i := l.Grid.NodeIdx(p); seen[i] != int32(ni+1) {
+				seen[i] = int32(ni + 1)
+				pins = append(pins, p)
 			}
 		}
-	}
-	if nl.IsPO(net) {
-		if p, ok := l.PadLoc[net]; ok {
+		if d := nl.Nets[ni].Driver; d != netlist.NilCell && !nl.Cells[d].Dead {
+			add(l.CLBLoc[l.Packed.CellCLB[d]])
+		} else if p, ok := l.PadLoc[net]; ok && isPI[ni] {
 			add(p)
 		}
+		for _, c := range fo.sinks(net) {
+			add(l.CLBLoc[l.Packed.CellCLB[c]])
+		}
+		if isPO[ni] {
+			if p, ok := l.PadLoc[net]; ok {
+				add(p)
+			}
+		}
+		table[ni] = pins[first:len(pins):len(pins)]
 	}
-	return pins
+	return table
 }
 
 // placeAll performs the initial full placement: every non-empty CLB and
@@ -159,11 +217,12 @@ func (l *Layout) placeAll(seed int64) (Effort, error) {
 func (l *Layout) buildPlaceProblem(movableCLBs map[int]bool, region device.RectSet) (*place.Problem, []int, []netlist.NetID) {
 	nl := l.NL
 	prob := &place.Problem{Dev: l.Dev}
-	blockOfCLB := make(map[int]place.BlockID)
+	blockOfCLB := make([]place.BlockID, len(l.Packed.CLBs)) // -1: empty CLB
 	var clbOfBlock []int
 	var padOfBlock []netlist.NetID
 
 	for i := range l.Packed.CLBs {
+		blockOfCLB[i] = -1
 		if l.Packed.Empty(i) {
 			continue
 		}
@@ -206,53 +265,43 @@ func (l *Layout) buildPlaceProblem(movableCLBs map[int]bool, region device.RectS
 		addPad(po)
 	}
 
-	// Placement nets: one per logical net spanning 2+ blocks.
+	// Placement nets: one per logical net spanning 2+ blocks, listing its
+	// distinct blocks — driver first, then sinks in cell-ID order, then
+	// its pad — in one pass over the cells.
+	fo := newFanoutIndex(nl)
+	isPI, isPO := padNets(nl)
+	blocks := make([]place.BlockID, 0, len(fo.cells)+2*len(nl.Nets))
+	seen := make([]int32, len(prob.Blocks)) // net ID + 1 of the last net to list a block
 	for ni := range nl.Nets {
 		if nl.Nets[ni].Dead {
 			continue
 		}
 		net := netlist.NetID(ni)
-		blocks := l.netBlockIDs(net, blockOfCLB, padBlock)
-		if len(blocks) >= 2 {
-			prob.Nets = append(prob.Nets, place.Net{Blocks: blocks})
+		first := len(blocks)
+		add := func(b place.BlockID) {
+			if b >= 0 && seen[b] != int32(ni+1) {
+				seen[b] = int32(ni + 1)
+				blocks = append(blocks, b)
+			}
+		}
+		if d := nl.Nets[ni].Driver; d != netlist.NilCell && !nl.Cells[d].Dead {
+			add(blockOfCLB[l.Packed.CellCLB[d]])
+		}
+		for _, c := range fo.sinks(net) {
+			add(blockOfCLB[l.Packed.CellCLB[c]])
+		}
+		if isPI[ni] || isPO[ni] {
+			if b, ok := padBlock[net]; ok {
+				add(b)
+			}
+		}
+		if len(blocks)-first >= 2 {
+			prob.Nets = append(prob.Nets, place.Net{Blocks: blocks[first:len(blocks):len(blocks)]})
+		} else {
+			blocks = blocks[:first]
 		}
 	}
 	return prob, clbOfBlock, padOfBlock
-}
-
-// netBlockIDs lists the distinct placement blocks on a net.
-func (l *Layout) netBlockIDs(net netlist.NetID, blockOfCLB map[int]place.BlockID, padBlock map[netlist.NetID]place.BlockID) []place.BlockID {
-	nl := l.NL
-	seen := make(map[place.BlockID]bool)
-	var blocks []place.BlockID
-	add := func(b place.BlockID, ok bool) {
-		if ok && !seen[b] {
-			seen[b] = true
-			blocks = append(blocks, b)
-		}
-	}
-	if d := nl.Nets[net].Driver; d != netlist.NilCell && !nl.Cells[d].Dead {
-		b, ok := blockOfCLB[l.Packed.CellCLB[d]]
-		add(b, ok)
-	}
-	for ci := range nl.Cells {
-		c := &nl.Cells[ci]
-		if c.Dead {
-			continue
-		}
-		for _, f := range c.Fanin {
-			if f == net {
-				b, ok := blockOfCLB[l.Packed.CellCLB[netlist.CellID(ci)]]
-				add(b, ok)
-				break
-			}
-		}
-	}
-	if nl.IsPI(net) || nl.IsPO(net) {
-		b, ok := padBlock[net]
-		add(b, ok)
-	}
-	return blocks
 }
 
 // adoptPlacement writes an annealing result back into the layout
@@ -274,11 +323,12 @@ func (l *Layout) routeAllNets() (Effort, error) {
 	nl := l.NL
 	var nets []*route.Net
 	byID := make(map[int]netlist.NetID)
+	table := l.netPinTable()
 	for ni := range nl.Nets {
 		if nl.Nets[ni].Dead {
 			continue
 		}
-		pins := l.netPins(netlist.NetID(ni))
+		pins := table[ni]
 		if len(pins) < 2 {
 			delete(l.Routes, netlist.NetID(ni))
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -178,7 +179,7 @@ func (l *Layout) placeNewPads() error {
 		if _, ok := l.PadLoc[net]; ok {
 			return nil
 		}
-		pins := l.netPins(net)
+		pins := l.netPinTable()[net]
 		best := device.XY{X: -1}
 		bestDist := 1 << 30
 		for _, s := range l.Dev.IOBSites() {
@@ -308,15 +309,18 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 
 	// Classify every live net, charging untouched wiring as locked. The
 	// overlay trunk wiring, when present, is permanently locked too.
+	// Re-routed nets keep copies of their pins, so the stored routes never
+	// hold on to the whole pin table.
 	router := l.ensureRouter()
 	router.BeginPass()
 	router.Charge(l.fixedWiring)
+	table := l.netPinTable()
 	for ni := range nl.Nets {
 		if nl.Nets[ni].Dead {
 			continue
 		}
 		net := netlist.NetID(ni)
-		pins := l.netPins(net)
+		pins := table[ni]
 		if len(pins) < 2 {
 			l.deleteRoute(net)
 			continue
@@ -342,7 +346,7 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 			if old == nil {
 				// Untouched net that was never routed (should not happen
 				// after Build) — route it globally.
-				globalNets = append(globalNets, &route.Net{ID: ni, Pins: pins})
+				globalNets = append(globalNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
 				continue
 			}
 			router.Charge(old.Route)
@@ -351,14 +355,14 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 		switch {
 		case !lockInterfaces:
 			// Incremental-tool model: rip the whole net.
-			globalNets = append(globalNets, &route.Net{ID: ni, Pins: pins})
+			globalNets = append(globalNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
 		case inCnt == len(pins):
 			// Fully inside: rebuild from scratch within the region.
-			innerNets = append(innerNets, &route.Net{ID: ni, Pins: pins})
+			innerNets = append(innerNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
 		case old == nil:
 			// New net spanning the boundary: no locked interface exists
 			// yet; route globally over spare capacity.
-			globalNets = append(globalNets, &route.Net{ID: ni, Pins: pins})
+			globalNets = append(globalNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
 		default:
 			_, outside, crossings := route.SplitRoute(l.Grid, old.Route, region)
 			insidePins := make([]device.XY, 0, inCnt)
@@ -370,7 +374,7 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 			if len(crossings) == 0 {
 				// The outside tree never reached the region: treat as a
 				// global extension from the existing tree.
-				globalNets = append(globalNets, &route.Net{ID: ni, Pins: pins})
+				globalNets = append(globalNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
 				continue
 			}
 			router.Charge(outside)
@@ -423,7 +427,7 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 	}
 	for _, st := range stitchedNets {
 		full := append(append([]route.EdgeID(nil), st.outside...), st.inner.Route...)
-		l.setRoute(st.net, &route.Net{ID: st.inner.ID, Pins: l.netPins(st.net), Route: full})
+		l.setRoute(st.net, &route.Net{ID: st.inner.ID, Pins: slices.Clone(table[st.net]), Route: full})
 		rerouted = append(rerouted, st.net)
 	}
 	for _, rn := range globalNets {

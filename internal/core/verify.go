@@ -52,12 +52,13 @@ func (l *Layout) Check() error {
 	for _, e := range l.fixedWiring {
 		use[e]++
 	}
+	table := l.netPinTable()
 	for ni := range l.NL.Nets {
 		if l.NL.Nets[ni].Dead {
 			continue
 		}
 		net := netlist.NetID(ni)
-		pins := l.netPins(net)
+		pins := table[ni]
 		if len(pins) < 2 {
 			continue
 		}
