@@ -186,8 +186,15 @@ func printResult(res *service.Result) {
 			fmt.Printf("overlay: %d zero-CAD tap switch(es), %d CAD fallback round(s)\n",
 				res.OverlaySwitches, res.OverlayFallbacks)
 		}
-		fmt.Printf("tile-local work %.0f vs full re-P&R %.0f — %.1fx per physical update\n",
-			res.TileWork, res.FullWork, res.SpeedupPerIter)
+		switch {
+		case res.Rounds+res.Iterations == 0:
+			fmt.Printf("tile-local work 0 vs full re-P&R %.0f — no physical update\n", res.FullWork)
+		case res.TileWork == 0:
+			fmt.Printf("tile-local work 0 vs full re-P&R %.0f — configuration-only update(s), no CAD work\n", res.FullWork)
+		default:
+			fmt.Printf("tile-local work %.0f vs full re-P&R %.0f — %.1fx per physical update\n",
+				res.TileWork, res.FullWork, res.SpeedupPerIter)
+		}
 	}
 	fmt.Printf("artifact cache: %d hit(s), %d miss(es); wall %.1fms; digest %s\n",
 		res.CacheHits, res.CacheMisses, res.WallMs, res.Digest)

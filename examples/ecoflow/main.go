@@ -1,9 +1,11 @@
 // Ecoflow: an engineering change arrives after the design is already
 // placed and routed. The flow diffs the revised netlist against the
 // current one (package eco), traces the change through the hierarchy to
-// the affected tiles, applies it as a tile-local update, and regenerates
-// only the partial bitstream frames of those tiles (package bitstream) —
-// Section 5 of the paper end to end.
+// the affected tiles, applies it through the tiling engine, and
+// regenerates only the partial bitstream frames of those tiles (package
+// bitstream) — Section 5 of the paper end to end. The change here only
+// rewrites a LUT's function, so it moves no cell and no wire: the update
+// is a rewrite of one tile's configuration frame with no place-and-route.
 //
 //	go run ./examples/ecoflow
 package main

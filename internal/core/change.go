@@ -37,7 +37,10 @@ type ChangeReport struct {
 // (pseudo-code steps 17–20): identify and clear the affected tiles,
 // re-place their logic together with the newly introduced cells, and
 // re-route locally against locked tile interfaces. Cells, wiring and pads
-// outside the affected tiles are never disturbed.
+// outside the affected tiles are never disturbed. A configuration-only
+// delta (see configOnlyTiles) skips all three: its report names the
+// modified cells' tiles, whose frames change, and carries no placement
+// or routing effort.
 //
 // ApplyDelta is transactional: it opens an internal checkpoint and rolls
 // back to it on any failure, so an error (unpackable delta, unplaceable
@@ -94,8 +97,20 @@ func (l *Layout) applyDelta(d Delta) (*ChangeReport, error) {
 	}
 	rep.NewCLBs = newCLBs
 	l.growCLBLoc(len(l.Packed.CLBs))
+	pads := len(l.PadLoc)
 	if err := l.placeNewPads(); err != nil {
 		return nil, err
+	}
+
+	// A configuration-only delta rewrites the modified cells' CLB frames
+	// and nothing else: no cell moves and no wire changes, so it skips
+	// recruitment, placement and routing.
+	if len(l.PadLoc) == pads {
+		if tiles, ok := l.configOnlyTiles(d); ok {
+			rep.AffectedTiles = tiles
+			rep.Effort.Wall = time.Since(start)
+			return rep, nil
+		}
 	}
 	if len(seedSet) == 0 {
 		// Pure insertion: seed at the tile with the most slack.
@@ -165,6 +180,63 @@ func (l *Layout) applyDelta(d Delta) (*ChangeReport, error) {
 	}
 	rep.Effort.Wall = time.Since(start)
 	return rep, nil
+}
+
+// configOnlyTiles reports whether d changes only the configuration of
+// the CLBs holding its modified cells — LUT tables, flip-flop inits, the
+// order of a LUT's input pins — and if so returns those CLBs' tiles. That
+// holds when d adds and removes no cell and every net with a pin at one
+// of those CLBs, now or in its stored route, still has exactly the pins
+// its stored route connects. It is decided from the layout's own state,
+// so a rewire that moves a net off or onto a CLB always fails it.
+func (l *Layout) configOnlyTiles(d Delta) ([]int, bool) {
+	if len(d.Added) > 0 || len(d.Removed) > 0 || len(d.Modified) == 0 {
+		return nil, false
+	}
+	var sites []device.XY
+	for _, id := range d.Modified {
+		if p := l.CLBLoc[l.Packed.CellCLB[id]]; !slices.Contains(sites, p) {
+			sites = append(sites, p)
+		}
+	}
+	atSite := func(pins []device.XY) bool {
+		return slices.ContainsFunc(pins, func(p device.XY) bool { return slices.Contains(sites, p) })
+	}
+	table := l.netPinTable()
+	unchanged := func(net netlist.NetID) bool {
+		pins := table[net]
+		rn := l.Routes[net]
+		if rn == nil {
+			return len(pins) < 2
+		}
+		if len(rn.Pins) != len(pins) {
+			return false
+		}
+		for _, p := range pins {
+			if !slices.Contains(rn.Pins, p) {
+				return false
+			}
+		}
+		return true
+	}
+	for ni, pins := range table {
+		if atSite(pins) && !unchanged(netlist.NetID(ni)) {
+			return nil, false
+		}
+	}
+	for net, rn := range l.Routes {
+		if atSite(rn.Pins) && !unchanged(net) {
+			return nil, false
+		}
+	}
+	tiles := make([]int, 0, len(sites))
+	for _, p := range sites {
+		if t := l.TileOf(p); !slices.Contains(tiles, t) {
+			tiles = append(tiles, t)
+		}
+	}
+	sort.Ints(tiles)
+	return tiles, true
 }
 
 // placeNewPads assigns free IOB sites to PI/PO nets that gained pad status

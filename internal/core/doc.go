@@ -5,7 +5,10 @@
 // correction) are applied as netlist deltas; the engine identifies the
 // affected tiles, recruits neighbors when free resources run short, clears
 // and re-places-and-routes only those tiles, and re-locks the interfaces —
-// so back-end CAD effort scales with the change, not the design.
+// so back-end CAD effort scales with the change, not the design. A delta
+// that moves no cell and no wire (a LUT table, a flip-flop init, the
+// order of a LUT's input pins) is a configuration-only update: it
+// rewrites its CLBs' tile frames and pays no placement or routing.
 //
 // The three baselines of Figure 5 are provided alongside: full
 // re-place-and-route (functional-block granularity, the Quick_ECO model —

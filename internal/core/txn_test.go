@@ -1,28 +1,36 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
-	"fpgadbg/internal/logic"
 	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/timing"
 )
 
-// modifyOneCell rewrites the function of one multi-input LUT in place,
-// the shape of a correction delta.
-func modifyOneCell(t *testing.T, l *Layout) Delta {
+// rewireOneCell moves input 0 of one multi-input LUT onto a primary
+// input that reaches no pin of the LUT's CLB: a correction that changes
+// wiring, so ApplyDelta re-places and re-routes the LUT's tile.
+func rewireOneCell(t *testing.T, l *Layout) Delta {
 	t.Helper()
+	table := l.netPinTable()
 	for ci := range l.NL.Cells {
 		c := &l.NL.Cells[ci]
 		if c.Dead || c.Kind != netlist.KindLUT || len(c.Fanin) != 2 {
 			continue
 		}
-		if err := l.NL.SetFunc(netlist.CellID(ci), logic.XorN(2)); err != nil {
-			t.Fatal(err)
+		site := l.CLBLoc[l.Packed.CellCLB[netlist.CellID(ci)]]
+		for _, pi := range l.NL.PIs {
+			if slices.Contains(table[pi], site) {
+				continue
+			}
+			if err := l.NL.SetFanin(netlist.CellID(ci), 0, pi); err != nil {
+				t.Fatal(err)
+			}
+			return Delta{Modified: []netlist.CellID{netlist.CellID(ci)}}
 		}
-		return Delta{Modified: []netlist.CellID{netlist.CellID(ci)}}
 	}
-	t.Fatal("no 2-input LUT found")
+	t.Fatal("no 2-input LUT to rewire")
 	return Delta{}
 }
 
@@ -68,7 +76,7 @@ func TestNestedCheckpoints(t *testing.T) {
 	afterOuter := l.StateDigest()
 
 	inner := l.Checkpoint()
-	if _, err := l.ApplyDelta(modifyOneCell(t, l)); err != nil {
+	if _, err := l.ApplyDelta(rewireOneCell(t, l)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rollback(inner); err != nil {
@@ -80,7 +88,7 @@ func TestNestedCheckpoints(t *testing.T) {
 
 	// Inner commit keeps the change but the outer rollback undoes both.
 	inner2 := l.Checkpoint()
-	if _, err := l.ApplyDelta(modifyOneCell(t, l)); err != nil {
+	if _, err := l.ApplyDelta(rewireOneCell(t, l)); err != nil {
 		t.Fatal(err)
 	}
 	l.Commit(inner2)
@@ -96,9 +104,9 @@ func TestNestedCheckpoints(t *testing.T) {
 }
 
 // TestApplyDeltaFailureRollsBack pins the transactional contract: a
-// failed physical update — here a re-route that exhausts channel
-// capacity — must leave the layout bit-identical to its pre-call state,
-// with VerifyLayout clean after the automatic rollback.
+// failed physical update — here the re-route of a rewired LUT input that
+// exhausts channel capacity — must leave the layout bit-identical to its
+// pre-call state, with VerifyLayout clean after the automatic rollback.
 func TestApplyDeltaFailureRollsBack(t *testing.T) {
 	// Strangle the channels: the layout's existing wiring already exceeds
 	// capacity 1, so the region re-route can never converge. The netlist
@@ -109,7 +117,7 @@ func TestApplyDeltaFailureRollsBack(t *testing.T) {
 	want := l2.StateDigest()
 	cp := l2.Checkpoint()
 	l2.Grid.Cap = 1
-	d2 := modifyOneCell(t, l2)
+	d2 := rewireOneCell(t, l2)
 	if _, err := l2.ApplyDelta(d2); err == nil {
 		t.Fatal("ApplyDelta succeeded with capacity 1")
 	}
@@ -196,7 +204,7 @@ func TestRollbackRestoresCriticalPath(t *testing.T) {
 	if _, err := l.ApplyDelta(insertObservers(t, l, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ApplyDelta(modifyOneCell(t, l)); err != nil {
+	if _, err := l.ApplyDelta(rewireOneCell(t, l)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rollback(cp); err != nil {

@@ -757,8 +757,10 @@ type Correction struct {
 
 // correctFromGolden repairs the implementation from the golden model:
 // every suspect cell that differs from its golden counterpart (function
-// or wiring) is restored, the delta goes through tile-local
-// re-place-and-route, and detection re-runs to verify. If no suspect
+// or wiring) is restored, the delta goes through ApplyDelta — a
+// configuration-only update when every restored pin's net already reaches
+// the cell's CLB, a tile-local re-place-and-route otherwise — and
+// detection re-runs to verify. If no suspect
 // differs, the full diff is consulted. This is diagnosis by answer key —
 // it reads the golden netlist's structure — and is kept as the fallback
 // for errors the candidate search (RepairWith) cannot explain; CorrectAuto

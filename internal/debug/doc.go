@@ -10,7 +10,8 @@
 // — and narrows the suspect cone by comparing observed streams.
 // Correction searches candidate repairs of the suspect cells with the
 // lane-parallel engine in internal/repair — the golden model acts only as
-// a behavioural oracle — applies the winner as a tile-local engineering
-// change and re-verifies; CorrectAuto falls back to copying the golden
-// cell for errors the search cannot explain.
+// a behavioural oracle — commits the winner, a new truth table, as a
+// configuration-only update of its tile (no re-place-and-route) and
+// re-verifies; CorrectAuto falls back to copying the golden cell for
+// errors the search cannot explain.
 package debug

@@ -12,8 +12,10 @@
 //
 //   - BitFlip — one truth-table entry of a suspect LUT complemented
 //     (repairs LUTBitFlip injections and SEU-style configuration upsets);
-//   - PinSwap — two fanin pins of a suspect LUT exchanged, a tile-local
-//     wiring repair (repairs InputSwap injections);
+//   - PinSwap — two fanin pins of a suspect LUT exchanged (repairs
+//     InputSwap injections), committed as the permuted truth table, so
+//     like the other two it rewrites one CLB's configuration and moves
+//     no wire;
 //   - Resynth — the whole truth table rebuilt from the cell's observed
 //     I/O behaviour: fanin minterms observed on the implementation,
 //     required outputs observed on the golden model's same-named net

@@ -17,7 +17,8 @@ const (
 	// BitFlip complements one truth-table entry of a suspect LUT.
 	BitFlip Kind = iota
 	// PinSwap exchanges two fanin pins of a suspect LUT — a wiring
-	// repair, validated as the equivalent permuted truth table.
+	// repair, validated and committed as the equivalent permuted truth
+	// table.
 	PinSwap
 	// Resynth replaces the whole truth table with one rebuilt from the
 	// cell's observed I/O behaviour.
@@ -47,10 +48,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Candidate is one proposed correction of one implementation cell. All
-// kinds are behaviourally a truth-table substitution over the cell's
-// existing fanins, which is how they are validated on simulator lanes;
-// Apply realizes PinSwap as the actual rewire.
+// Candidate is one proposed correction of one implementation cell.
+// BitFlip, PinSwap and Resynth are a truth-table substitution over the
+// cell's existing fanins: that is how they are validated on simulator
+// lanes and how Apply commits them.
 type Candidate struct {
 	// Cell names the implementation cell the candidate repairs.
 	Cell string
@@ -86,11 +87,12 @@ func (c Candidate) Describe() string {
 	}
 }
 
-// Apply realizes the candidate on a live netlist: PinSwap rewires the
-// two fanin pins (the wiring repair the ECO path re-routes tile-locally);
-// BitFlip and Resynth rewrite the cell function. Both go through the
-// netlist's journaled mutators, so an open layout transaction can revert
-// the repair. It returns the modified cell for core.Delta.Modified.
+// Apply realizes the candidate on a live netlist: BitFlip, PinSwap and
+// Resynth write TT, the truth table the lanes validated, leaving the
+// fanins alone (a pin swap becomes the permuted table, so no wire
+// changes); Rewire re-drives one fanin pin. Both go through the netlist's
+// journaled mutators, so an open layout transaction can revert the
+// repair. It returns the modified cell for core.Delta.Modified.
 func (c Candidate) Apply(nl *netlist.Netlist) (netlist.CellID, error) {
 	id, ok := nl.CellByName(c.Cell)
 	if !ok {
@@ -99,15 +101,6 @@ func (c Candidate) Apply(nl *netlist.Netlist) (netlist.CellID, error) {
 	cell := &nl.Cells[id]
 	if cell.Kind != netlist.KindLUT {
 		return netlist.NilCell, fmt.Errorf("repair: cell %q is not a LUT", c.Cell)
-	}
-	if c.Kind == PinSwap {
-		if c.PinA < 0 || c.PinB < 0 || c.PinA >= len(cell.Fanin) || c.PinB >= len(cell.Fanin) {
-			return netlist.NilCell, fmt.Errorf("repair: cell %q has no pins %d,%d", c.Cell, c.PinA, c.PinB)
-		}
-		if err := nl.SwapFanin(id, c.PinA, c.PinB); err != nil {
-			return netlist.NilCell, fmt.Errorf("repair: %w", err)
-		}
-		return id, nil
 	}
 	if c.Kind == Rewire {
 		src, ok := nl.NetByName(c.NewNet)

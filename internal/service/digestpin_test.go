@@ -14,19 +14,22 @@ import (
 // CAD effort (placement moves plus router expansions), so any drift in a
 // full placement, an ApplyDelta region anneal or a warm-start anneal
 // changes it. Both changes are required to keep every placement
-// bit-identical; this table holds them to that.
+// bit-identical; this table holds them to that. The campaigns whose
+// candidate search won a correction were re-recorded when such a
+// correction became a configuration-only update with no tile work; their
+// shapes (pinnedShapes) did not move.
 var pinnedDigests = map[string]string{
-	"9sym/debug/f3/ov=false":     "8b77eb07fdb95566",
+	"9sym/debug/f3/ov=false":     "68fff37cb8dbd46c",
 	"9sym/repair/f2/ov=false":    "4a4b68a09127acb3",
-	"9sym/debug/f4/ov=true":      "75031991da741595",
+	"9sym/debug/f4/ov=true":      "c7866d44c525f8a8",
 	"9sym/faultscan/f0/ov=false": "6282a77116797674",
-	"c880/debug/f3/ov=false":     "6dbd207da31b0c01",
-	"c880/repair/f2/ov=false":    "a1251a4d91ca4301",
-	"c880/debug/f4/ov=true":      "c8885d783087a7ec",
+	"c880/debug/f3/ov=false":     "23fb96d5fa6e4f07",
+	"c880/repair/f2/ov=false":    "8c9a073f738d0433",
+	"c880/debug/f4/ov=true":      "77f39ba0bd0f3365",
 	"c880/faultscan/f0/ov=false": "86946487196fb9d7",
-	"c499/debug/f3/ov=false":     "9d2d3c608a0451bb",
+	"c499/debug/f3/ov=false":     "58eeb660d9f4696a",
 	"c499/repair/f2/ov=false":    "271407e464d8b48d",
-	"c499/debug/f4/ov=true":      "6af253355fef6ecf",
+	"c499/debug/f4/ov=true":      "f74b56d0578a8df4",
 	"c499/faultscan/f0/ov=false": "0768b4e25d45a9f8",
 
 	// Windowed-SEU and interconnect faultscans, recorded before their
@@ -43,14 +46,14 @@ var pinnedDigests = map[string]string{
 	// resynth, pin-swap), recorded before the repair kind moved onto the
 	// debug loop. 9sym f7 and c499 f4 differ by lane width: the batch
 	// count enters the digest.
-	"9sym/repair/f1/ov=false/l64":  "e102188058e52c76",
-	"9sym/repair/f1/ov=false/l256": "e102188058e52c76",
-	"9sym/repair/f4/ov=false/l64":  "4ea93aabfb592b42",
-	"9sym/repair/f4/ov=false/l256": "4ea93aabfb592b42",
-	"9sym/repair/f7/ov=false/l64":  "e9617bcffd908ea1",
-	"9sym/repair/f7/ov=false/l256": "fc5cdf6ebd2e27e8",
-	"c499/repair/f4/ov=false/l64":  "d8545d3244fa07ef",
-	"c499/repair/f4/ov=false/l256": "90afb3163474124a",
+	"9sym/repair/f1/ov=false/l64":  "3f5924aee7359233",
+	"9sym/repair/f1/ov=false/l256": "3f5924aee7359233",
+	"9sym/repair/f4/ov=false/l64":  "11ff13168ae6b983",
+	"9sym/repair/f4/ov=false/l256": "11ff13168ae6b983",
+	"9sym/repair/f7/ov=false/l64":  "f5a0c9f692c89add",
+	"9sym/repair/f7/ov=false/l256": "06fac8d0223abf54",
+	"c499/repair/f4/ov=false/l64":  "e386966a9bdacf6d",
+	"c499/repair/f4/ov=false/l256": "d67ed2ad00b0595c",
 }
 
 // pinSpecs covers every layout-building campaign kind (debug with CAD

@@ -314,8 +314,8 @@ func (r *run) leaseLayout(impl *netlist.Netlist, implFP string) (string, error) 
 	r.pool = v.(*layoutPool)
 	var reused bool
 	r.layout, r.lease, reused = r.pool.checkout()
-	// Every incremental place/route/sta under ApplyDelta lands in the
-	// campaign trace until check-in detaches it.
+	// Every incremental place and route span under ApplyDelta lands in
+	// the campaign trace until check-in detaches it.
 	r.layout.SetObs(r.tr)
 	lease := "working copy cloned"
 	if reused {

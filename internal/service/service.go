@@ -284,7 +284,10 @@ type Result struct {
 	// across campaigns on the same design).
 	TileWork float64 `json:"tile_work"`
 	FullWork float64 `json:"full_work"`
-	// SpeedupPerIter is FullWork divided by tile work per physical update.
+	// SpeedupPerIter is FullWork divided by tile work per physical update
+	// (probe rounds plus corrections). It stays 0 when TileWork is 0: every
+	// update was configuration-only (a LUT-frame rewrite with no
+	// placement or routing), or there was none.
 	SpeedupPerIter float64 `json:"speedup_per_iter"`
 	// DictResolved counts diagnoses the fault dictionary settled without
 	// probe rounds (debug campaigns with UseDict).
