@@ -98,43 +98,14 @@ func buildMappedOnce(mapped *netlist.Netlist, spec Spec) (*Layout, error) {
 	return l, nil
 }
 
-// fanoutIndex lists every net's live sink cells in cell-ID order (a cell
-// reading a net on several pins appears once per pin) as one flat slice
-// cut by offsets: net n's sinks are cells[start[n]:start[n+1]].
-type fanoutIndex struct {
-	start []int32
-	cells []netlist.CellID
-}
-
-func newFanoutIndex(nl *netlist.Netlist) fanoutIndex {
-	start := make([]int32, len(nl.Nets)+1)
-	for ci := range nl.Cells {
-		if nl.Cells[ci].Dead {
-			continue
-		}
-		for _, f := range nl.Cells[ci].Fanin {
-			start[f+1]++
-		}
+// pinBound bounds the pins of all nets together: a driver or input pad
+// and an output pad per net, and a pin per sink.
+func pinBound(nl *netlist.Netlist, fanout [][]netlist.Sink) int {
+	n := 2 * len(nl.Nets)
+	for _, f := range fanout {
+		n += len(f)
 	}
-	for i := 1; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	cells := make([]netlist.CellID, start[len(nl.Nets)])
-	next := append([]int32(nil), start[:len(nl.Nets)]...)
-	for ci := range nl.Cells {
-		if nl.Cells[ci].Dead {
-			continue
-		}
-		for _, f := range nl.Cells[ci].Fanin {
-			cells[next[f]] = netlist.CellID(ci)
-			next[f]++
-		}
-	}
-	return fanoutIndex{start: start, cells: cells}
-}
-
-func (fo fanoutIndex) sinks(net netlist.NetID) []netlist.CellID {
-	return fo.cells[fo.start[net]:fo.start[net+1]]
+	return n
 }
 
 // padNets flags the primary-input and primary-output nets by NetID.
@@ -159,10 +130,10 @@ func padNets(nl *netlist.Netlist) (isPI, isPO []bool) {
 // caller that keeps one beyond the current update copies it.
 func (l *Layout) netPinTable() [][]device.XY {
 	nl := l.NL
-	fo := newFanoutIndex(nl)
+	fanout := nl.Fanouts()
 	isPI, isPO := padNets(nl)
 	table := make([][]device.XY, len(nl.Nets))
-	pins := make([]device.XY, 0, len(fo.cells)+2*len(nl.Nets))
+	pins := make([]device.XY, 0, pinBound(nl, fanout))
 	seen := make([]int32, l.Grid.NumNodes()) // net ID + 1 of the last net to list a node
 	for ni := range nl.Nets {
 		if nl.Nets[ni].Dead {
@@ -181,8 +152,8 @@ func (l *Layout) netPinTable() [][]device.XY {
 		} else if p, ok := l.PadLoc[net]; ok && isPI[ni] {
 			add(p)
 		}
-		for _, c := range fo.sinks(net) {
-			add(l.CLBLoc[l.Packed.CellCLB[c]])
+		for _, sk := range fanout[ni] {
+			add(l.CLBLoc[l.Packed.CellCLB[sk.Cell]])
 		}
 		if isPO[ni] {
 			if p, ok := l.PadLoc[net]; ok {
@@ -267,10 +238,10 @@ func (l *Layout) buildPlaceProblem(movableCLBs map[int]bool, region device.RectS
 
 	// Placement nets: one per logical net spanning 2+ blocks, listing its
 	// distinct blocks — driver first, then sinks in cell-ID order, then
-	// its pad — in one pass over the cells.
-	fo := newFanoutIndex(nl)
+	// its pad — from one fanout pass over the cells.
+	fanout := nl.Fanouts()
 	isPI, isPO := padNets(nl)
-	blocks := make([]place.BlockID, 0, len(fo.cells)+2*len(nl.Nets))
+	blocks := make([]place.BlockID, 0, pinBound(nl, fanout))
 	seen := make([]int32, len(prob.Blocks)) // net ID + 1 of the last net to list a block
 	for ni := range nl.Nets {
 		if nl.Nets[ni].Dead {
@@ -287,8 +258,8 @@ func (l *Layout) buildPlaceProblem(movableCLBs map[int]bool, region device.RectS
 		if d := nl.Nets[ni].Driver; d != netlist.NilCell && !nl.Cells[d].Dead {
 			add(blockOfCLB[l.Packed.CellCLB[d]])
 		}
-		for _, c := range fo.sinks(net) {
-			add(blockOfCLB[l.Packed.CellCLB[c]])
+		for _, sk := range fanout[ni] {
+			add(blockOfCLB[l.Packed.CellCLB[sk.Cell]])
 		}
 		if isPI[ni] || isPO[ni] {
 			if b, ok := padBlock[net]; ok {
