@@ -327,30 +327,10 @@ func (n *Netlist) RemoveNet(id NetID) error {
 	return nil
 }
 
-// Fanouts computes, for every net, the list of cell pins it feeds, in
-// cell-ID then pin order (nil for a net with none). Primary outputs are
-// not included (consult POs). The lists share one backing array.
+// Fanouts computes, for every net, the list of cell pins it feeds. Primary
+// outputs are not included (consult POs).
 func (n *Netlist) Fanouts() [][]Sink {
-	count := make([]int, len(n.Nets))
-	total := 0
-	for ci := range n.Cells {
-		if n.Cells[ci].Dead {
-			continue
-		}
-		for _, f := range n.Cells[ci].Fanin {
-			count[f]++
-		}
-		total += len(n.Cells[ci].Fanin)
-	}
-	sinks := make([]Sink, total)
 	out := make([][]Sink, len(n.Nets))
-	off := 0
-	for ni, c := range count {
-		if c > 0 {
-			out[ni] = sinks[off : off : off+c]
-			off += c
-		}
-	}
 	for ci := range n.Cells {
 		if n.Cells[ci].Dead {
 			continue
