@@ -92,8 +92,9 @@ func main() {
 	}
 	fmt.Println("sign-off: applied change matches the revised netlist ✓")
 
-	// Partial reconfiguration: regenerate only the affected frames.
-	partial, err := bitstream.Partial(lay, rep.AffectedTiles)
+	// Partial reconfiguration: regenerate only the frames the change
+	// rewrote.
+	partial, err := bitstream.Partial(lay, bitstream.Frames(rep))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,10 +71,27 @@ func Full(l *core.Layout) (*Image, error) {
 	return im, nil
 }
 
-// Partial generates the frames of the given tiles only.
+// Frames names the frames a layout change rewrote: its affected tiles,
+// the tiles it rewired beyond them, and GlobalFrame when it changed
+// wiring between tiles or a pad.
+func Frames(rep *core.ChangeReport) []int {
+	out := append(append([]int(nil), rep.AffectedTiles...), rep.RewiredTiles...)
+	if rep.GlobalRewired {
+		out = append(out, GlobalFrame)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// Partial generates the frames of the given tiles only; GlobalFrame may
+// be among them.
 func Partial(l *core.Layout, tiles []int) (*Image, error) {
 	im := &Image{Frames: make(map[int][]byte)}
 	for _, t := range tiles {
+		if t == GlobalFrame {
+			im.Frames[t] = globalFrame(l)
+			continue
+		}
 		if t < 0 || t >= len(l.Tiles) {
 			return nil, fmt.Errorf("bitstream: no tile %d", t)
 		}

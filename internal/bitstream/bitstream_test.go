@@ -2,11 +2,13 @@ package bitstream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fpgadbg/internal/core"
 	"fpgadbg/internal/logic"
 	"fpgadbg/internal/netlist"
+	"fpgadbg/internal/route"
 )
 
 func layout(t testing.TB, seed int64) *core.Layout {
@@ -69,55 +71,111 @@ func TestFullImageDeterministic(t *testing.T) {
 	}
 }
 
-func TestPartialReconfiguration(t *testing.T) {
-	l := layout(t, 2)
-	before, err := Full(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A modify-only debugging change (LUT function fix) stays within its
-	// affected tiles plus crossings, so stitching only those frames onto
-	// the old image must reproduce the new full image.
-	var target netlist.CellID = netlist.NilCell
+// rewire moves input 0 of the first 2-input LUT onto a primary input
+// with no pin at the LUT's CLB, chosen by whether its route already
+// passes through the LUT's tile. It returns the LUT, or NilCell when no
+// such input exists.
+func rewire(t *testing.T, l *core.Layout, throughTile bool) netlist.CellID {
+	t.Helper()
 	for ci := range l.NL.Cells {
 		c := &l.NL.Cells[ci]
-		if !c.Dead && c.Kind == netlist.KindLUT && len(c.Fanin) == 2 {
-			target = netlist.CellID(ci)
-			break
+		if c.Dead || c.Kind != netlist.KindLUT || len(c.Fanin) != 2 {
+			continue
 		}
-	}
-	if target == netlist.NilCell {
-		t.Skip("no 2-input LUT")
-	}
-	l.NL.Cells[target].Func = logic.XnorN(2)
-	rep, err := l.ApplyDelta(core.Delta{Modified: []netlist.CellID{target}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := Full(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Equal(before) {
-		t.Fatal("change did not alter the bitstream")
-	}
-	partial, err := Partial(l, rep.AffectedTiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stitched := Stitch(before, partial)
-	if !stitched.Equal(after) {
-		// Identify which frame diverged for the failure message.
-		for k := range after.Frames {
-			if string(after.Frames[k]) != string(stitched.Frames[k]) {
-				t.Fatalf("stitched partial misses changes in frame %d (affected=%v)", k, rep.AffectedTiles)
+		id := netlist.CellID(ci)
+		site := l.CLBLoc[l.Packed.CellCLB[id]]
+		rect := l.Tiles[l.TileOf(site)].Rect
+		for _, pi := range l.NL.PIs {
+			rn := l.Routes[pi]
+			if rn == nil || slices.Contains(rn.Pins, site) {
+				continue
 			}
+			through := slices.ContainsFunc(rn.Route, func(e route.EdgeID) bool {
+				a, b := l.Grid.EdgeEnds(e)
+				return rect.Contains(a) || rect.Contains(b)
+			})
+			if through != throughTile {
+				continue
+			}
+			if err := l.NL.SetFanin(id, 0, pi); err != nil {
+				t.Fatal(err)
+			}
+			return id
 		}
-		t.Fatal("stitched image differs in frame set")
+		return netlist.NilCell
 	}
-	// The partial image is a fraction of the full one.
-	if partial.Size() >= before.Size() {
-		t.Fatalf("partial (%d B) not smaller than full (%d B)", partial.Size(), before.Size())
+	return netlist.NilCell
+}
+
+// TestPartialReconfiguration rewires a LUT input onto a net new to its
+// CLB, which re-places and re-routes the LUT's tile, and checks that the
+// frames the change report names carry the whole change: stitching them
+// onto the old image reproduces the new full image. A net whose wiring
+// already passes through the tile is re-routed inside it, so the tile's
+// own frame is enough; a net whose wiring never reaches it keeps that
+// wiring and extends it, which rewrites frames beyond the tile.
+func TestPartialReconfiguration(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		throughTile bool
+	}{{"net through the tile", true}, {"net outside the tile", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := layout(t, 2)
+			before, err := Full(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := rewire(t, l, tc.throughTile)
+			if target == netlist.NilCell {
+				t.Fatal("no primary input to rewire onto")
+			}
+			pi := l.NL.Cells[target].Fanin[0]
+			old := slices.Clone(l.Routes[pi].Route)
+			rep, err := l.ApplyDelta(core.Delta{Modified: []netlist.CellID{target}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.throughTile {
+				for _, e := range old {
+					if !slices.Contains(l.Routes[pi].Route, e) {
+						t.Fatalf("the input's wiring outside the tile lost edge %d", e)
+					}
+				}
+			}
+			if rep.Effort.CellsPlaced == 0 {
+				t.Fatalf("rewire did not re-place its tile: %+v", rep)
+			}
+			tileLocal := len(rep.RewiredTiles) == 0 && !rep.GlobalRewired
+			if tileLocal != tc.throughTile {
+				t.Fatalf("tile-local = %v, want %v (affected %v, rewired %v, global %v)",
+					tileLocal, tc.throughTile, rep.AffectedTiles, rep.RewiredTiles, rep.GlobalRewired)
+			}
+			after, err := Full(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Equal(before) {
+				t.Fatal("change did not alter the bitstream")
+			}
+			partial, err := Partial(l, Frames(rep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stitched := Stitch(before, partial)
+			if !stitched.Equal(after) {
+				// Identify which frame diverged for the failure message.
+				for k := range after.Frames {
+					if string(after.Frames[k]) != string(stitched.Frames[k]) {
+						t.Fatalf("stitched partial misses changes in frame %d (frames %v)", k, Frames(rep))
+					}
+				}
+				t.Fatal("stitched image differs in frame set")
+			}
+			// The partial image is a fraction of the full one.
+			if partial.Size() >= before.Size() {
+				t.Fatalf("partial (%d B) not smaller than full (%d B)", partial.Size(), before.Size())
+			}
+		})
 	}
 }
 

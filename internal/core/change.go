@@ -31,6 +31,13 @@ type ChangeReport struct {
 	Effort        Effort
 	// ReroutedNets counts nets whose wiring changed.
 	ReroutedNets int
+	// RewiredTiles lists the tiles outside AffectedTiles whose own
+	// wiring the delta changed: a net extended, or newly routed, over
+	// spare capacity passes through them. GlobalRewired reports a change
+	// to wiring that runs between tiles or to a pad. With AffectedTiles
+	// they name every configuration frame the delta rewrote.
+	RewiredTiles  []int
+	GlobalRewired bool
 }
 
 // ApplyDelta implements the paper's per-iteration physical update
@@ -58,8 +65,58 @@ func (l *Layout) ApplyDelta(d Delta) (*ChangeReport, error) {
 		}
 		return nil, err
 	}
+	l.rewiredFrames(rep, l.journal[cp.phys:])
 	l.Commit(cp)
 	return rep, nil
+}
+
+// rewiredFrames fills rep's RewiredTiles and GlobalRewired from the
+// journal of the delta: every route it replaced is compared edge by edge
+// with the net's route now, and every pad it placed or moved counts as a
+// global change. Cells only move inside the affected tiles, so their
+// frames need no search.
+func (l *Layout) rewiredFrames(rep *ChangeReport, ops []physOp) {
+	seen := make(map[netlist.NetID]bool)
+	note := func(e route.EdgeID) {
+		a, b := l.Grid.EdgeEnds(e)
+		t := l.TileOf(a)
+		switch {
+		case !l.Tiles[t].Rect.Contains(a) || !l.Tiles[t].Rect.Contains(b):
+			rep.GlobalRewired = true
+		case !slices.Contains(rep.AffectedTiles, t) && !slices.Contains(rep.RewiredTiles, t):
+			rep.RewiredTiles = append(rep.RewiredTiles, t)
+		}
+	}
+	for _, op := range ops {
+		switch {
+		case op.kind == opPad:
+			rep.GlobalRewired = true
+		case op.kind == opRoute && !seen[op.net]:
+			seen[op.net] = true
+			var was, now []route.EdgeID
+			if op.existed {
+				was = slices.Clone(op.route.Route)
+			}
+			if rn := l.Routes[op.net]; rn != nil {
+				now = slices.Clone(rn.Route)
+			}
+			slices.Sort(was)
+			slices.Sort(now)
+			for len(was) > 0 || len(now) > 0 {
+				switch {
+				case len(now) == 0 || len(was) > 0 && was[0] < now[0]:
+					note(was[0])
+					was = was[1:]
+				case len(was) == 0 || now[0] < was[0]:
+					note(now[0])
+					now = now[1:]
+				default:
+					was, now = was[1:], now[1:]
+				}
+			}
+		}
+	}
+	sort.Ints(rep.RewiredTiles)
 }
 
 func (l *Layout) applyDelta(d Delta) (*ChangeReport, error) {
@@ -357,9 +414,11 @@ func (l *Layout) expandAffected(seeds map[int]bool, needCLBs int) ([]int, error)
 //   - lockInterfaces (the paper's tile-local update): nets fully inside
 //     are rebuilt within the region; nets crossing the boundary keep
 //     their outside wiring and locked crossing points (the tile
-//     interfaces) and only their inside portions are rebuilt; brand-new
+//     interfaces) and only their inside portions are rebuilt; a net
+//     whose wiring lies wholly outside but which gains a pin inside
+//     keeps that wiring and grows from it to the new pins; brand-new
 //     nets that must reach outside are routed over spare capacity
-//     anywhere without disturbing locked wiring.
+//     anywhere. New wiring never disturbs locked wiring.
 //
 //   - !lockInterfaces (the conventional incremental-tool model used by
 //     the baselines): every net with a pin or an edge in the region is
@@ -377,6 +436,7 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 	}
 	var innerNets []*route.Net  // nets to route within the region
 	var stitchedNets []stitched // region portion of crossing nets
+	var extendedNets []stitched // outside trees extended to new inside pins
 	var globalNets []*route.Net // new/expanded/window nets routed anywhere
 
 	// Classify every live net, charging untouched wiring as locked. The
@@ -444,9 +504,17 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 				}
 			}
 			if len(crossings) == 0 {
-				// The outside tree never reached the region: treat as a
-				// global extension from the existing tree.
-				globalNets = append(globalNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
+				if len(outside) == 0 {
+					// The old tree lay wholly inside the region, which is
+					// cleared: route the net afresh.
+					globalNets = append(globalNets, &route.Net{ID: ni, Pins: slices.Clone(pins)})
+					continue
+				}
+				// The old tree never reached the region: keep it locked
+				// and extend it over spare capacity to the inside pins.
+				router.Charge(outside)
+				extendedNets = append(extendedNets, stitched{net: net, outside: outside,
+					inner: &route.Net{ID: ni, Pins: slices.Clone(pins)}})
 				continue
 			}
 			router.Charge(outside)
@@ -478,9 +546,19 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 		}
 	}
 
-	// Then global nets over remaining spare capacity anywhere.
-	if len(globalNets) > 0 {
-		gres, err := router.Route(globalNets, route.Options{})
+	// Then global nets and extensions over remaining spare capacity
+	// anywhere.
+	globalWork := globalNets
+	var existing map[int][]route.EdgeID
+	for _, st := range extendedNets {
+		if existing == nil {
+			existing = make(map[int][]route.EdgeID, len(extendedNets))
+		}
+		existing[st.inner.ID] = st.outside
+		globalWork = append(globalWork, st.inner)
+	}
+	if len(globalWork) > 0 {
+		gres, err := router.Route(globalWork, route.Options{Existing: existing})
 		if err != nil {
 			mode := "global net"
 			if !lockInterfaces {
@@ -497,7 +575,7 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 		l.setRoute(netlist.NetID(rn.ID), rn)
 		rerouted = append(rerouted, netlist.NetID(rn.ID))
 	}
-	for _, st := range stitchedNets {
+	for _, st := range append(stitchedNets, extendedNets...) {
 		full := append(append([]route.EdgeID(nil), st.outside...), st.inner.Route...)
 		l.setRoute(st.net, &route.Net{ID: st.inner.ID, Pins: slices.Clone(table[st.net]), Route: full})
 		rerouted = append(rerouted, st.net)

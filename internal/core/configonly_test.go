@@ -83,7 +83,8 @@ func catalogLayout(t *testing.T, info bench.Info) *core.Layout {
 // exactly the cell's tile with no CAD effort, and be a partial
 // reconfiguration of that tile: stitching its frame onto the old image
 // gives the new full image. Rolling it back restores the state digest.
-// Rewires that move a net onto or off the CLB must still re-place.
+// Rewires that move a net onto or off the CLB must still re-place, and
+// the frames their reports name must carry the whole change.
 // MIPS and DES are left out: their initial place-and-route alone takes
 // tens of seconds.
 func TestConfigOnlyDeltasOnCatalog(t *testing.T) {
@@ -117,7 +118,7 @@ func TestConfigOnlyDeltasOnCatalog(t *testing.T) {
 					t.Fatalf("%s: %v", what, err)
 				}
 				tile := l.TileOf(l.CLBLoc[l.Packed.CellCLB[id]])
-				if !reflect.DeepEqual(rep.AffectedTiles, []int{tile}) || rep.Effort.Work() != 0 ||
+				if !reflect.DeepEqual(bitstream.Frames(rep), []int{tile}) || rep.Effort.Work() != 0 ||
 					rep.Effort.CellsPlaced != 0 || rep.Effort.NetsRouted != 0 || rep.ReroutedNets != 0 {
 					t.Fatalf("%s: report %+v, want tile [%d] and no CAD effort", what, rep, tile)
 				}
@@ -154,6 +155,10 @@ func TestConfigOnlyDeltasOnCatalog(t *testing.T) {
 					return
 				}
 				cases++
+				before, err := bitstream.Full(l)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cp := l.Checkpoint()
 				if err := edit(); err != nil {
 					t.Fatal(err)
@@ -167,6 +172,17 @@ func TestConfigOnlyDeltasOnCatalog(t *testing.T) {
 				}
 				if err := l.Check(); err != nil {
 					t.Fatalf("%s: %v", what, err)
+				}
+				after, err := bitstream.Full(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				partial, err := bitstream.Partial(l, bitstream.Frames(rep))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitstream.Stitch(before, partial).Equal(after) {
+					t.Fatalf("%s: frames %v do not carry the whole change", what, bitstream.Frames(rep))
 				}
 				if err := l.Rollback(cp); err != nil {
 					t.Fatal(err)

@@ -115,6 +115,12 @@ type Options struct {
 	// at least one track). The debug overlay uses it to keep headroom for
 	// trunk wiring that is routed afterwards at full capacity.
 	CapReserve int
+	// Existing maps a net ID to wiring the net already has (a connected
+	// tree) that its route extends rather than replaces: the search grows
+	// from every node of that tree to the pins it does not reach, and the
+	// net's Route receives only the new edges. The caller charges the
+	// existing wiring's usage like locked wiring.
+	Existing map[int][]EdgeID
 }
 
 // Result reports routing work and convergence.
@@ -301,7 +307,7 @@ func (r *Router) Route(nets []*Net, opt Options) (*Result, error) {
 			for _, e := range n.Route {
 				r.use[e]--
 			}
-			route, err := r.routeNet(n, opt.Allowed, presFac)
+			route, err := r.routeNet(n, opt.Existing[n.ID], opt.Allowed, presFac)
 			if err != nil {
 				return nil, err
 			}
@@ -402,22 +408,36 @@ func (r *Router) edgeCost(e EdgeID, presFac float64) float64 {
 	return c
 }
 
-// routeNet grows a Steiner tree over the net's pins with repeated
-// multi-source shortest-path searches.
-func (r *Router) routeNet(n *Net, allowed func(device.XY) bool, presFac float64) ([]EdgeID, error) {
+// routeNet grows a Steiner tree over the net's pins (from its existing
+// wiring, when it has some) with repeated multi-source shortest-path
+// searches.
+func (r *Router) routeNet(n *Net, existing []EdgeID, allowed func(device.XY) bool, presFac float64) ([]EdgeID, error) {
 	pins := r.dedupePins(n.Pins)
 	r.epoch++
 	treeEp := r.epoch
-	r.inTree[pins[0]] = treeEp
+	r.treeNodes = r.treeNodes[:0]
+	grow := func(idx int32) {
+		if r.inTree[idx] != treeEp {
+			r.inTree[idx] = treeEp
+			r.treeNodes = append(r.treeNodes, idx)
+		}
+	}
+	if len(existing) == 0 {
+		grow(pins[0])
+	}
+	for _, e := range existing {
+		a, b := r.g.EdgeEnds(e)
+		grow(r.g.NodeIdx(a))
+		grow(r.g.NodeIdx(b))
+	}
 	remaining := 0
-	for _, p := range pins[1:] {
-		if p != pins[0] && r.target[p] != treeEp {
+	for _, p := range pins {
+		if r.inTree[p] != treeEp && r.target[p] != treeEp {
 			r.target[p] = treeEp
 			remaining++
 		}
 	}
 	var route []EdgeID
-	r.treeNodes = append(r.treeNodes[:0], pins[0])
 	for remaining > 0 {
 		target, path, err := r.search(r.treeNodes, treeEp, allowed, presFac)
 		if err != nil {
@@ -428,13 +448,8 @@ func (r *Router) routeNet(n *Net, allowed func(device.XY) bool, presFac float64)
 		for _, e := range path {
 			route = append(route, e)
 			a, b := r.g.EdgeEnds(e)
-			for _, p := range []device.XY{a, b} {
-				idx := r.g.NodeIdx(p)
-				if r.inTree[idx] != treeEp {
-					r.inTree[idx] = treeEp
-					r.treeNodes = append(r.treeNodes, idx)
-				}
-			}
+			grow(r.g.NodeIdx(a))
+			grow(r.g.NodeIdx(b))
 		}
 	}
 	return route, nil

@@ -137,6 +137,28 @@ func TestRegionRestrictedRouting(t *testing.T) {
 	}
 }
 
+func TestExistingWiringIsExtended(t *testing.T) {
+	g := grid(8, 8, 4)
+	n := &Net{ID: 3, Pins: []device.XY{{X: 1, Y: 1}, {X: 6, Y: 1}}}
+	if _, err := RouteAll(g, []*Net{n}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	old := n.Route
+	// The net gains a sink next to the middle of its wire: the extension
+	// grows from the nearest node of the old tree, not from the source.
+	ext := &Net{ID: 3, Pins: append(n.Pins, device.XY{X: 4, Y: 3})}
+	if _, err := RouteAll(g, []*Net{ext}, Options{Existing: map[int][]EdgeID{3: old}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ext.Route) != 2 {
+		t.Fatalf("extension has %d edges, want 2", len(ext.Route))
+	}
+	full := &Net{ID: 3, Pins: ext.Pins, Route: append(append([]EdgeID(nil), old...), ext.Route...)}
+	if err := CheckTree(g, full); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFixedUseBlocksChannels(t *testing.T) {
 	// Saturate the direct channel with fixed usage; the net must detour.
 	g := grid(6, 1, 1)

@@ -16,19 +16,22 @@ import (
 // changes it. Both changes are required to keep every placement
 // bit-identical; this table holds them to that. The campaigns whose
 // candidate search won a correction were re-recorded when such a
-// correction became a configuration-only update with no tile work; their
-// shapes (pinnedShapes) did not move.
+// correction became a configuration-only update with no tile work, and
+// every campaign with a CAD probe round or a golden-copy rewire was
+// re-recorded when a net whose wiring never reached the affected tiles
+// began to keep that wiring and extend it instead of being re-routed
+// whole; their shapes (pinnedShapes) did not move.
 var pinnedDigests = map[string]string{
-	"9sym/debug/f3/ov=false":     "68fff37cb8dbd46c",
-	"9sym/repair/f2/ov=false":    "4a4b68a09127acb3",
+	"9sym/debug/f3/ov=false":     "c86dddb4377e8ea2",
+	"9sym/repair/f2/ov=false":    "f5408f721c901406",
 	"9sym/debug/f4/ov=true":      "c7866d44c525f8a8",
 	"9sym/faultscan/f0/ov=false": "6282a77116797674",
-	"c880/debug/f3/ov=false":     "23fb96d5fa6e4f07",
-	"c880/repair/f2/ov=false":    "8c9a073f738d0433",
+	"c880/debug/f3/ov=false":     "79080297326ba229",
+	"c880/repair/f2/ov=false":    "bc7ffaa256721028",
 	"c880/debug/f4/ov=true":      "77f39ba0bd0f3365",
 	"c880/faultscan/f0/ov=false": "86946487196fb9d7",
-	"c499/debug/f3/ov=false":     "58eeb660d9f4696a",
-	"c499/repair/f2/ov=false":    "271407e464d8b48d",
+	"c499/debug/f3/ov=false":     "a1ac9d76f8eaaae9",
+	"c499/repair/f2/ov=false":    "14a4f66a663218cc",
 	"c499/debug/f4/ov=true":      "f74b56d0578a8df4",
 	"c499/faultscan/f0/ov=false": "0768b4e25d45a9f8",
 
@@ -50,10 +53,10 @@ var pinnedDigests = map[string]string{
 	"9sym/repair/f1/ov=false/l256": "3f5924aee7359233",
 	"9sym/repair/f4/ov=false/l64":  "11ff13168ae6b983",
 	"9sym/repair/f4/ov=false/l256": "11ff13168ae6b983",
-	"9sym/repair/f7/ov=false/l64":  "f5a0c9f692c89add",
-	"9sym/repair/f7/ov=false/l256": "06fac8d0223abf54",
-	"c499/repair/f4/ov=false/l64":  "e386966a9bdacf6d",
-	"c499/repair/f4/ov=false/l256": "d67ed2ad00b0595c",
+	"9sym/repair/f7/ov=false/l64":  "9454a9115bd2228e",
+	"9sym/repair/f7/ov=false/l256": "6996fcda4cb15ba7",
+	"c499/repair/f4/ov=false/l64":  "667cc5049ee810d5",
+	"c499/repair/f4/ov=false/l256": "d9747d8eb2037392",
 }
 
 // pinSpecs covers every layout-building campaign kind (debug with CAD
