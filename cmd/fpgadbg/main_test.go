@@ -72,8 +72,8 @@ func TestLocalRunMatchesPinnedDigests(t *testing.T) {
 		args   []string
 		digest string
 	}{
-		{[]string{"-design", "9sym", "-fault-seed", "3", "-tilefrac", "0.25", "-effort", "0.3", "-words", "4", "-cycles", "2"}, "c86dddb4377e8ea2"},
-		{[]string{"-design", "9sym", "-kind", "repair", "-fault-seed", "2", "-tilefrac", "0.25", "-effort", "0.5", "-words", "4", "-cycles", "2"}, "f5408f721c901406"},
+		{[]string{"-design", "9sym", "-fault-seed", "3", "-tilefrac", "0.25", "-effort", "0.3", "-words", "4", "-cycles", "2"}, "c11c10d7fb1efe15"},
+		{[]string{"-design", "9sym", "-kind", "repair", "-fault-seed", "2", "-tilefrac", "0.25", "-effort", "0.5", "-words", "4", "-cycles", "2"}, "05fb2c25349fa1c7"},
 		{[]string{"-design", "9sym", "-kind", "faultscan", "-patterns", "64", "-cycles", "2"}, "6282a77116797674"},
 	} {
 		out := runMain(t, tc.args...)

@@ -872,9 +872,9 @@ type LoopReport struct {
 	Corrections []*Correction
 	Diagnoses   []*Diagnosis
 	// TileEffort is the total tile-local CAD work. The non-tiled
-	// comparison point, one full re-place-and-route, is measured by the
-	// caller (Layout.FullRePlaceRoute); the campaign service takes it from
-	// its artifact cache.
+	// comparison point, one full place-and-route, is the caller's: the
+	// campaign service reports the layout's BuildEffort, and the paper's
+	// tables run Layout.FullRePlaceRoute.
 	TileEffort core.Effort
 	Clean      bool
 }

@@ -125,26 +125,6 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-// Forget drops the artifact under key if the cache still holds val
-// there: an artifact found broken after it was cached, such as a
-// background build that failed, must not be served again. A value cached
-// under key since then is kept.
-func (c *Cache) Forget(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	if e.val != val {
-		return
-	}
-	c.lru.Remove(el)
-	delete(c.entries, key)
-	c.bytes -= e.bytes
-}
-
 // Put inserts an artifact directly (used for traces recorded as a side
 // effect of a replay rather than built on demand).
 func (c *Cache) Put(key string, val any, bytes int64) {

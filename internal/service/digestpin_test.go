@@ -8,31 +8,28 @@ import (
 	"time"
 )
 
-// pinnedDigests are campaign digests recorded before the annealer moved
-// to cached per-net costs and the full re-P&R baseline moved off the
-// campaign's critical path. A digest folds in the tile-local and baseline
-// CAD effort (placement moves plus router expansions), so any drift in a
-// full placement, an ApplyDelta region anneal or a warm-start anneal
-// changes it. Both changes are required to keep every placement
-// bit-identical; this table holds them to that. The campaigns whose
-// candidate search won a correction were re-recorded when such a
-// correction became a configuration-only update with no tile work, and
-// every campaign with a CAD probe round or a golden-copy rewire was
-// re-recorded when a net whose wiring never reached the affected tiles
-// began to keep that wiring and extend it instead of being re-routed
-// whole; their shapes (pinnedShapes) did not move.
+// pinnedDigests are campaign digests. A digest folds in the campaign's
+// tile-local CAD effort and the effort of the full place-and-route that
+// built its layout (placement moves plus router expansions), so any drift
+// in a full placement, an ApplyDelta region anneal or a warm-start anneal
+// changes it; this table holds every placement bit-identical. The
+// faultscan digests date from before the annealer moved to cached per-net
+// costs. The layout-building campaigns were re-recorded when corrections
+// and probe rounds got cheaper physical updates, and last when FullWork
+// became the build's own effort instead of a second full
+// re-place-and-route; each time their shapes (pinnedShapes) did not move.
 var pinnedDigests = map[string]string{
-	"9sym/debug/f3/ov=false":     "c86dddb4377e8ea2",
-	"9sym/repair/f2/ov=false":    "f5408f721c901406",
-	"9sym/debug/f4/ov=true":      "c7866d44c525f8a8",
+	"9sym/debug/f3/ov=false":     "c11c10d7fb1efe15",
+	"9sym/repair/f2/ov=false":    "05fb2c25349fa1c7",
+	"9sym/debug/f4/ov=true":      "4d5d18833d82a9c0",
 	"9sym/faultscan/f0/ov=false": "6282a77116797674",
-	"c880/debug/f3/ov=false":     "79080297326ba229",
-	"c880/repair/f2/ov=false":    "bc7ffaa256721028",
-	"c880/debug/f4/ov=true":      "77f39ba0bd0f3365",
+	"c880/debug/f3/ov=false":     "5392a3069131d468",
+	"c880/repair/f2/ov=false":    "1df64ff8723339d1",
+	"c880/debug/f4/ov=true":      "b86904fba1993e75",
 	"c880/faultscan/f0/ov=false": "86946487196fb9d7",
-	"c499/debug/f3/ov=false":     "a1ac9d76f8eaaae9",
-	"c499/repair/f2/ov=false":    "14a4f66a663218cc",
-	"c499/debug/f4/ov=true":      "f74b56d0578a8df4",
+	"c499/debug/f3/ov=false":     "5708de254499e2e9",
+	"c499/repair/f2/ov=false":    "d0eb0d3a2b93422c",
+	"c499/debug/f4/ov=true":      "1efbbabe5b877442",
 	"c499/faultscan/f0/ov=false": "0768b4e25d45a9f8",
 
 	// Windowed-SEU and interconnect faultscans, recorded before their
@@ -49,14 +46,14 @@ var pinnedDigests = map[string]string{
 	// resynth, pin-swap), recorded before the repair kind moved onto the
 	// debug loop. 9sym f7 and c499 f4 differ by lane width: the batch
 	// count enters the digest.
-	"9sym/repair/f1/ov=false/l64":  "3f5924aee7359233",
-	"9sym/repair/f1/ov=false/l256": "3f5924aee7359233",
-	"9sym/repair/f4/ov=false/l64":  "11ff13168ae6b983",
-	"9sym/repair/f4/ov=false/l256": "11ff13168ae6b983",
-	"9sym/repair/f7/ov=false/l64":  "9454a9115bd2228e",
-	"9sym/repair/f7/ov=false/l256": "6996fcda4cb15ba7",
-	"c499/repair/f4/ov=false/l64":  "667cc5049ee810d5",
-	"c499/repair/f4/ov=false/l256": "d9747d8eb2037392",
+	"9sym/repair/f1/ov=false/l64":  "b7888009188c0d27",
+	"9sym/repair/f1/ov=false/l256": "b7888009188c0d27",
+	"9sym/repair/f4/ov=false/l64":  "a3de24e96ced0a41",
+	"9sym/repair/f4/ov=false/l256": "a3de24e96ced0a41",
+	"9sym/repair/f7/ov=false/l64":  "25204866aaf57cfc",
+	"9sym/repair/f7/ov=false/l256": "34a65cdfb5a31155",
+	"c499/repair/f4/ov=false/l64":  "a14299fd798b3f17",
+	"c499/repair/f4/ov=false/l256": "8c40c0102af587ef",
 }
 
 // pinSpecs covers every layout-building campaign kind (debug with CAD

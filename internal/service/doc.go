@@ -5,7 +5,7 @@
 //
 // A Service owns a bounded worker pool fed by a priority FIFO queue of
 // campaigns, a content-addressed artifact cache (mapped netlists,
-// compiled simulator programs, pristine layouts, full-re-P&R baselines,
+// compiled simulator programs, pristine layouts with their build effort,
 // golden reference traces and fault dictionaries, keyed by netlist
 // fingerprint + build parameters, with singleflight dedup and LRU +
 // byte-budget eviction), and per-campaign progress events streamed as
@@ -28,7 +28,7 @@
 //     (Spec.SimLanes picks the lane-vector width W).
 //
 // Every campaign runs one pipeline of plain stage functions
-// (pipeline.go): golden → inject → lease → baseline → session → loop,
+// (pipeline.go): golden → inject → lease → session → loop,
 // with faultscan branching off after golden. A panic in any stage fails
 // that campaign alone, and Spec.Validate bounds every size a request can
 // ask for.

@@ -18,8 +18,8 @@ import (
 // copies, so steady-state warm traffic pays zero deep copies.
 //
 // The pristine reference layout is never handed out and never mutated;
-// it only serves Clone (pool growth under concurrency) and the cached
-// full re-P&R baseline.
+// it only serves Clone (pool growth under concurrency) and its
+// BuildEffort, the full place-and-route comparison point (FullWork).
 // maxPoolFree bounds the rolled-back copies a pool retains; further
 // check-ins are discarded so resident memory stays within the
 // (1 + maxPoolFree) × layout bound the artifact cache is charged for.

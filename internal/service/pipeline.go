@@ -2,7 +2,7 @@ package service
 
 // The campaign pipeline. Every campaign runs the same stages in order:
 //
-//	golden → inject → lease → baseline → session → loop
+//	golden → inject → lease → session → loop
 //
 // and a faultscan campaign branches off after golden into its scan body
 // (faultscan.go). Each stage is a plain function on run, the campaign's
@@ -180,20 +180,15 @@ func (r *run) golden() error {
 	return nil
 }
 
-// loop runs the debugging kinds after golden: inject, lease, baseline,
-// session, then the detect → localize → correct loop, and assembles the
-// result. The repair kind is the same loop capped at one iteration.
+// loop runs the debugging kinds after golden: inject, lease, session,
+// then the detect → localize → correct loop, and assembles the result.
+// The repair kind is the same loop capped at one iteration.
 func (r *run) loop() error {
 	impl, implFP, err := r.inject()
 	if err != nil {
 		return err
 	}
-	lkey, err := r.leaseLayout(impl, implFP)
-	if err != nil {
-		return err
-	}
-	baseline, err := r.baseline(lkey)
-	if err != nil {
+	if err := r.leaseLayout(impl, implFP); err != nil {
 		return err
 	}
 	sess, err := r.session(implFP)
@@ -239,12 +234,10 @@ func (r *run) loop() error {
 		res.OverlaySwitches = sess.OverlaySwitches
 		res.OverlayFallbacks = sess.OverlayFallbacks
 	}
-	fullEffort, err := baseline.wait(r.ctx)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", spec.Design, err)
-	}
 	res.TileWork = sess.TileEffort.Work()
-	res.FullWork = fullEffort.Work()
+	// The full re-place-and-route comparison point is the build that laid
+	// this implementation out in the first place.
+	res.FullWork = r.pool.pristine.BuildEffort.Work()
 	if updates := res.Rounds + res.Iterations; updates > 0 && res.TileWork > 0 {
 		res.SpeedupPerIter = res.FullWork / (res.TileWork / float64(updates))
 	}
@@ -270,12 +263,11 @@ func (r *run) inject() (impl *netlist.Netlist, implFP string, err error) {
 // content address and physical-design knobs; it hands each campaign an
 // exclusive transactional copy (warmed persistent router included) that
 // runCampaign rolls back on check-in, so a Layout.Clone only happens when
-// concurrency outgrows the free list. It returns the layout cache key.
-func (r *run) leaseLayout(impl *netlist.Netlist, implFP string) (string, error) {
+// concurrency outgrows the free list.
+func (r *run) leaseLayout(impl *netlist.Netlist, implFP string) error {
 	r.enter("lease")
 	spec := r.spec
-	lkey := spec.layoutKey(implFP)
-	v, how, err := r.artifact(lkey, func() (any, int64, error) {
+	v, how, err := r.artifact(spec.layoutKey(implFP), func() (any, int64, error) {
 		// The initial build records place/route spans on the building
 		// campaign's trace; BuildMapped detaches it before the layout is
 		// stored, so the cached pristine never outlives this trace.
@@ -309,7 +301,7 @@ func (r *run) leaseLayout(impl *netlist.Netlist, implFP string) (string, error) 
 		return p, (1 + maxPoolFree) * layoutBytes(l), nil
 	})
 	if err != nil {
-		return "", err
+		return err
 	}
 	r.pool = v.(*layoutPool)
 	var reused bool
@@ -322,32 +314,7 @@ func (r *run) leaseLayout(impl *netlist.Netlist, implFP string) (string, error) 
 		lease = "pooled copy reused, router warm"
 	}
 	r.c.appendEvent("place", 0, "tiled layout %v, %d tiles (%s; %s)", r.layout.Dev, len(r.layout.Tiles), how, lease)
-	return lkey, nil
-}
-
-// baseline returns the full re-P&R baseline of the pristine layout: the
-// non-tiled comparison point, identical for every campaign on it. It only
-// reads the pristine layout, so it runs on its own goroutine while the
-// campaign debugs; the cache holds the future, and loop awaits it only
-// when it assembles the result. Whichever campaign first holds the
-// cached future starts it, so a failed baseline can always drop the
-// entry again.
-func (r *run) baseline(lkey string) (*baselineFuture, error) {
-	r.enter("baseline")
-	fkey := lkey + "/fullpr"
-	v, how, err := r.artifact(fkey, func() (any, int64, error) {
-		return newBaselineFuture(), 64, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	f := v.(*baselineFuture)
-	pristine, seed := r.pool.pristine, r.spec.Seed+1000
-	f.start(&r.s.baselines, func() (core.Effort, error) {
-		return pristine.FullRePlaceRoute(seed)
-	}, func() { r.s.cache.Forget(fkey, f) })
-	r.c.appendEvent("baseline", 0, "full re-P&R baseline (%s)", how)
-	return f, nil
+	return nil
 }
 
 // session binds a debug session to the leased layout, with context,

@@ -64,7 +64,6 @@ func TestStagePanicFailsAlone(t *testing.T) {
 		{"golden", debugSpec, false},
 		{"inject", debugSpec, false},
 		{"lease", debugSpec, false},
-		{"baseline", debugSpec, true},
 		{"session", debugSpec, true},
 		{"loop", debugSpec, true},
 		{"faultscan", scanSpec, false},

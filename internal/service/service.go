@@ -279,9 +279,9 @@ type Result struct {
 	Rounds         int      `json:"rounds"`
 	ProbesInserted int      `json:"probes_inserted"`
 	Fixed          []string `json:"fixed,omitempty"`
-	// TileWork is the campaign's tile-local CAD effort; FullWork the full
-	// re-place-and-route baseline of the pristine layout (cached, shared
-	// across campaigns on the same design).
+	// TileWork is the campaign's tile-local CAD effort; FullWork the
+	// effort of the full place-and-route that built the implementation's
+	// pristine layout (cached with the layout).
 	TileWork float64 `json:"tile_work"`
 	FullWork float64 `json:"full_work"`
 	// SpeedupPerIter is FullWork divided by tile work per physical update
@@ -344,7 +344,7 @@ type Result struct {
 	OverlaySwitches  int  `json:"overlay_switches,omitempty"`
 	OverlayFallbacks int  `json:"overlay_fallbacks,omitempty"`
 	// CacheHits / CacheMisses count this campaign's artifact lookups
-	// (golden netlist+simulator artifact, layout, baseline, dictionary).
+	// (golden netlist+simulator artifact, layout, dictionary).
 	CacheHits   int     `json:"cache_hits"`
 	CacheMisses int     `json:"cache_misses"`
 	WallMs      float64 `json:"wall_ms"`
@@ -624,9 +624,6 @@ type Service struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
-	// baselines counts in-flight full re-P&R baselines (baseline.go);
-	// Close waits for them after the workers.
-	baselines sync.WaitGroup
 }
 
 // New starts a service with cfg.Workers campaign workers. Use Open when
@@ -954,7 +951,6 @@ func (s *Service) Close() {
 	if s.closed {
 		s.mu.Unlock()
 		s.wg.Wait()
-		s.baselines.Wait()
 		return
 	}
 	s.closed = true
@@ -976,9 +972,6 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()
-	// Only workers start baselines, so none can start once they are
-	// drained.
-	s.baselines.Wait()
 	// The workers are drained. A Submit racing Close may still attempt
 	// one journal append after this; the store rejects appends once
 	// closed and the service counts that as a journal error.

@@ -74,7 +74,7 @@ func TestCampaignLifecycle(t *testing.T) {
 	if _, ok := <-live; ok {
 		t.Fatal("live channel of finished campaign should be closed")
 	}
-	wantStages := []string{"queue", "start", "synth", "compile", "inject", "place", "baseline"}
+	wantStages := []string{"queue", "start", "synth", "compile", "inject", "place", "detect"}
 	for i, stage := range wantStages {
 		if i >= len(events) || events[i].Stage != stage {
 			t.Fatalf("event %d = %+v, want stage %q (events: %+v)", i, events[i], stage, events)
