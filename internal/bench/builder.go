@@ -35,13 +35,6 @@ func (b *bld) lut(name string, f logic.Cover, in ...netlist.NetID) netlist.NetID
 	return out
 }
 
-// dff creates a flip-flop and returns its Q net.
-func (b *bld) dff(name string, d netlist.NetID, init uint8) netlist.NetID {
-	q := b.fresh(name + ".q")
-	b.nl.MustAddDFF(name, d, q, init)
-	return q
-}
-
 func (b *bld) pi(name string) netlist.NetID { return b.nl.AddPI(name) }
 
 func (b *bld) piBus(name string, w int) bus {

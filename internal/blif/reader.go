@@ -64,6 +64,7 @@ func Parse(r io.Reader) (*netlist.Netlist, error) {
 }
 
 // ParseString parses BLIF text.
+// Test fixture: BLIF text in the blif and bench tests.
 func ParseString(s string) (*netlist.Netlist, error) {
 	return Parse(strings.NewReader(s))
 }

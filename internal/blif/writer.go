@@ -63,6 +63,7 @@ func Write(w io.Writer, nl *netlist.Netlist) error {
 }
 
 // ToString renders a netlist as BLIF text.
+// Test fixture: BLIF round trips in the blif, bench and place tests.
 func ToString(nl *netlist.Netlist) (string, error) {
 	var b strings.Builder
 	if err := Write(&b, nl); err != nil {

@@ -136,9 +136,6 @@ func (l *Layout) netPinTable() [][]device.XY {
 	pins := make([]device.XY, 0, pinBound(nl, fanout))
 	seen := make([]int32, l.Grid.NumNodes()) // net ID + 1 of the last net to list a node
 	for ni := range nl.Nets {
-		if nl.Nets[ni].Dead {
-			continue
-		}
 		net := netlist.NetID(ni)
 		first := len(pins)
 		add := func(p device.XY) {
@@ -244,9 +241,6 @@ func (l *Layout) buildPlaceProblem(movableCLBs map[int]bool, region device.RectS
 	blocks := make([]place.BlockID, 0, pinBound(nl, fanout))
 	seen := make([]int32, len(prob.Blocks)) // net ID + 1 of the last net to list a block
 	for ni := range nl.Nets {
-		if nl.Nets[ni].Dead {
-			continue
-		}
 		net := netlist.NetID(ni)
 		first := len(blocks)
 		add := func(b place.BlockID) {
@@ -296,9 +290,6 @@ func (l *Layout) routeAllNets() (Effort, error) {
 	byID := make(map[int]netlist.NetID)
 	table := l.netPinTable()
 	for ni := range nl.Nets {
-		if nl.Nets[ni].Dead {
-			continue
-		}
 		pins := table[ni]
 		if len(pins) < 2 {
 			delete(l.Routes, netlist.NetID(ni))
@@ -347,6 +338,8 @@ func (l *Layout) RouteReserved(nets []*route.Net) (Effort, error) {
 
 // FixedWiring exposes the permanently locked overlay trunk wiring
 // (read-only; indexed growth only via RouteReserved).
+// Differential oracle read-out: a clone must inherit the trunks (overlay
+// TestCloneInheritsTrunkWiring).
 func (l *Layout) FixedWiring() []route.EdgeID { return l.fixedWiring }
 
 // drawBoundaries partitions the CLB area into a near-square grid of tiles

@@ -362,15 +362,6 @@ func (l *Layout) growAffected(affected []int) []int {
 	return out
 }
 
-func containsTile(tiles []int, t int) bool {
-	for _, x := range tiles {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 // expandAffected is AffectedTiles generalized to multiple seeds.
 func (l *Layout) expandAffected(seeds map[int]bool, needCLBs int) ([]int, error) {
 	free := l.TileFree()
@@ -448,9 +439,6 @@ func (l *Layout) rerouteTouched(region device.RectSet, lockInterfaces bool) (Eff
 	router.Charge(l.fixedWiring)
 	table := l.netPinTable()
 	for ni := range nl.Nets {
-		if nl.Nets[ni].Dead {
-			continue
-		}
 		net := netlist.NetID(ni)
 		pins := table[ni]
 		if len(pins) < 2 {

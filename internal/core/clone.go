@@ -28,7 +28,6 @@ func (l *Layout) Clone() *Layout {
 		colCuts:     append([]int(nil), l.colCuts...),
 		BuildEffort: l.BuildEffort,
 		fixedWiring: append([]route.EdgeID(nil), l.fixedWiring...),
-		seq:         l.seq,
 	}
 	out.Packed = &pack.Packed{
 		NL:      nl,

@@ -45,7 +45,7 @@ func TestCloneIndependence(t *testing.T) {
 	// engine, exactly like a debugging campaign would.
 	var target netlist.NetID = netlist.NilNet
 	for ni := range cl.NL.Nets {
-		if !cl.NL.Nets[ni].Dead && cl.NL.Nets[ni].Driver != netlist.NilCell {
+		if cl.NL.Nets[ni].Driver != netlist.NilCell {
 			target = netlist.NetID(ni)
 			break
 		}

@@ -125,8 +125,6 @@ type Layout struct {
 	// by Check, and copied by Clone; ApplyDelta never rips it up.
 	fixedWiring []route.EdgeID
 
-	seq int // fresh-name counter for inserted logic
-
 	// router is the persistent routing engine, created lazily and reused
 	// across every incremental update; clones start without one. See
 	// txn.go.
@@ -320,10 +318,4 @@ func (l *Layout) RegionOf(tiles []int) device.RectSet {
 		rs = append(rs, l.Tiles[t].Rect)
 	}
 	return rs
-}
-
-// freshName returns a unique suffix for inserted logic.
-func (l *Layout) freshName(base string) string {
-	l.setSeq(l.seq + 1)
-	return fmt.Sprintf("%s@%d", base, l.seq)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -184,11 +185,12 @@ func insertObservers(t *testing.T, l *Layout, n int) Delta {
 			break
 		}
 		net := netlist.NetID(ni)
-		if l.NL.Nets[ni].Dead || l.NL.Nets[ni].Driver == netlist.NilCell {
+		if l.NL.Nets[ni].Driver == netlist.NilCell {
 			continue
 		}
-		flag := l.NL.AddNet(l.freshName("obs"))
-		id, err := l.NL.AddLUT(l.freshName("obslut"), logic.BufN(), []netlist.NetID{net}, flag)
+		k := len(l.NL.Nets) // a fresh suffix: nets only grow, and rollback shrinks them back
+		flag := l.NL.AddNet(fmt.Sprintf("obs@%d", k))
+		id, err := l.NL.AddLUT(fmt.Sprintf("obslut@%d", k), logic.BufN(), []netlist.NetID{net}, flag)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +277,7 @@ func TestApplyDeltaLeavesOutsideUntouched(t *testing.T) {
 	if rep.Effort.CellsPlaced == 0 {
 		t.Fatalf("rewire did not re-place its tile: %+v", rep)
 	}
-	if !containsTile(rep.AffectedTiles, seedTile) {
+	if !slices.Contains(rep.AffectedTiles, seedTile) {
 		t.Fatalf("seed tile %d not in affected set %v", seedTile, rep.AffectedTiles)
 	}
 	// Every CLB outside the affected region kept its exact location.
@@ -308,7 +310,7 @@ func TestFrozenOutsideInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, at := range rep.AffectedTiles {
-		if !containsTile(generous, at) {
+		if !slices.Contains(generous, at) {
 			t.Skipf("change spread beyond the generous region (%v vs %v)", rep.AffectedTiles, generous)
 		}
 	}

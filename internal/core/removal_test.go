@@ -16,7 +16,7 @@ func TestApplyDeltaRemovesCells(t *testing.T) {
 	// Insert an observer pair first.
 	var target netlist.NetID = netlist.NilNet
 	for ni := range l.NL.Nets {
-		if !l.NL.Nets[ni].Dead && l.NL.Nets[ni].Driver != netlist.NilCell {
+		if l.NL.Nets[ni].Driver != netlist.NilCell {
 			target = netlist.NetID(ni)
 			break
 		}

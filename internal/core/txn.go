@@ -11,8 +11,8 @@ import (
 )
 
 // The layout transaction journal. A Checkpoint opens a transaction:
-// from then on every physical mutation (placement, pads, routes, the
-// fresh-name counter) appends its inverse to an undo log, and the
+// from then on every physical mutation (placement, pads, routes, an
+// overlay tap selection) appends its inverse to an undo log, and the
 // netlist and packing journals (netlist/journal.go, pack/journal.go)
 // record their layers' mutations too. Rollback replays all three logs in
 // reverse, restoring the layout bit-identically in O(changes) — the
@@ -33,8 +33,6 @@ const (
 	opPad
 	// opRoute records an overwritten, created or deleted route entry.
 	opRoute
-	// opSeq records the fresh-name counter.
-	opSeq
 	// opConfig records an external configuration mutation (overlay tap
 	// selection) as an opaque undo closure.
 	opConfig
@@ -118,8 +116,6 @@ func (l *Layout) Rollback(cp Checkpoint) error {
 			} else {
 				delete(l.Routes, op.net)
 			}
-		case opSeq:
-			l.seq = op.idx
 		case opConfig:
 			op.undo()
 		}
@@ -203,16 +199,6 @@ func (l *Layout) RecordUndo(fn func()) {
 	}
 }
 
-func (l *Layout) setSeq(v int) {
-	if l.seq == v {
-		return
-	}
-	if l.txnDepth > 0 {
-		l.journal = append(l.journal, physOp{kind: opSeq, idx: l.seq})
-	}
-	l.seq = v
-}
-
 // ---------------------------------------------------------------- router
 
 // ensureRouter returns the layout's persistent routing engine, creating
@@ -230,14 +216,16 @@ func (l *Layout) ensureRouter() *route.Router {
 // InvalidateRouter drops the persistent routing engine; the next update
 // rebuilds it from scratch. Differential tests use this to compare the
 // persistent path against fresh-router routing.
+// It is the differential oracle for the persistent router
+// (TestPersistentRouterMatchesScratch, TestProbeRoundsOnCatalog).
 func (l *Layout) InvalidateRouter() { l.router = nil }
 
 // ---------------------------------------------------------------- digest
 
 // StateDigest fingerprints the complete mutable layout state — netlist,
-// packing, placement, pads, routes and the fresh-name counter — for
-// bit-identity assertions around checkpoints, rollbacks and differential
-// routing oracles.
+// packing, placement, pads, routes and fixed wiring — for bit-identity
+// assertions around checkpoints, rollbacks and differential routing
+// oracles.
 func (l *Layout) StateDigest() string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -292,6 +280,5 @@ func (l *Layout) StateDigest() string {
 	for _, e := range l.fixedWiring {
 		w(uint64(uint32(e)))
 	}
-	w(uint64(l.seq))
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -54,9 +54,6 @@ func (l *Layout) Check() error {
 	}
 	table := l.netPinTable()
 	for ni := range l.NL.Nets {
-		if l.NL.Nets[ni].Dead {
-			continue
-		}
 		net := netlist.NetID(ni)
 		pins := table[ni]
 		if len(pins) < 2 {
@@ -148,6 +145,8 @@ func routeConnects(g *route.Grid, edges []route.EdgeID, pins []device.XY) error 
 // checkpoint may be left open, the journals must be drained, and the
 // netlist itself must validate. Tests call it after every rollback to
 // prove the journal restored a consistent state.
+// It is the differential oracle for the transaction journal
+// (TestProbeRoundsOnCatalog, TestCheckpointRollbackRestoresLayout).
 func VerifyLayout(l *Layout) error {
 	if l.txnDepth != 0 {
 		return fmt.Errorf("core: %d transaction(s) still open", l.txnDepth)
@@ -173,6 +172,8 @@ func VerifyLayout(l *Layout) error {
 // FrozenOutside snapshots the placement and routing outside the given
 // region; comparing snapshots before and after a change proves the paper's
 // central claim that unaffected tiles are untouched.
+// It is the differential oracle for tile-local updates
+// (TestFrozenOutsideInvariant).
 func (l *Layout) FrozenOutside(region device.RectSet) map[string]string {
 	snap := make(map[string]string)
 	for i := range l.Packed.CLBs {

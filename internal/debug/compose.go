@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"fpgadbg/internal/faults"
-	"fpgadbg/internal/netlist"
 	"fpgadbg/internal/sim"
 )
 
@@ -501,26 +500,4 @@ func (d *SyndromeDict) diagnoseWave2(prog *sim.Machine, y faults.Syndrome,
 	}
 	confirmed, _, err := verify(chunk)
 	return confirmed, err
-}
-
-// SuspectCells flattens the match's suspect sets into implicated golden
-// cell names, deduplicated in first-seen (rank) order — the ranked
-// suspect list a repair campaign consumes.
-func (m SyndromeMatch) SuspectCells(nl *netlist.Netlist) []string {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(f faults.Fault) {
-		if name, ok := f.SuspectCell(nl); ok && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	for _, f := range m.Singles {
-		add(f)
-	}
-	for _, p := range m.Pairs {
-		add(p.A)
-		add(p.B)
-	}
-	return out
 }

@@ -46,10 +46,10 @@ func TestClassifySingleExact(t *testing.T) {
 	for _, r := range dict.Singles() {
 		m := dict.Classify(r.Syndrome)
 		if m.Class != ClassSingle {
-			t.Fatalf("single %s classified %v", r.Fault.Descriptor(), m.Class)
+			t.Fatalf("single %+v classified %v", r.Fault, m.Class)
 		}
 		if !m.MaybeMasked {
-			t.Fatalf("single %s missing MaybeMasked flag", r.Fault.Descriptor())
+			t.Fatalf("single %+v missing MaybeMasked flag", r.Fault)
 		}
 		found := false
 		for _, f := range m.Singles {
@@ -59,7 +59,7 @@ func TestClassifySingleExact(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("single %s not in its own suspect set", r.Fault.Descriptor())
+			t.Fatalf("single %+v not in its own suspect set", r.Fault)
 		}
 	}
 }
@@ -99,11 +99,11 @@ func TestDiagnosePairsProbeFree(t *testing.T) {
 			// (it trivially reproduces its own signature), possibly as an
 			// equivalent pair; what we require is a non-empty confirmed set.
 			if len(m.Pairs) == 0 {
-				t.Fatalf("confirmed diagnosis with empty pair list for %s", r.Pair.Descriptor())
+				t.Fatalf("confirmed diagnosis with empty pair list for %+v", r.Pair)
 			}
 		case m.Class == ClassSingle:
 			if !m.MaybeMasked {
-				t.Fatalf("pair %s collapsed to a single without the masked flag", r.Pair.Descriptor())
+				t.Fatalf("pair %+v collapsed to a single without the masked flag", r.Pair)
 			}
 			masked++
 		case m.Class == ClassUnknown:
@@ -159,11 +159,10 @@ func TestMaskedPairFlaggedNotMisclassified(t *testing.T) {
 		checked++
 		m := dict.Classify(pr.Syndrome)
 		if m.Class != ClassSingle {
-			t.Fatalf("dominated pair {%s, %s} classified %v, want single",
-				a.Descriptor(), b.Descriptor(), m.Class)
+			t.Fatalf("dominated pair {%+v, %+v} classified %v, want single", a, b, m.Class)
 		}
 		if !m.MaybeMasked {
-			t.Fatalf("dominated pair {%s, %s} missing MaybeMasked", a.Descriptor(), b.Descriptor())
+			t.Fatalf("dominated pair {%+v, %+v} missing MaybeMasked", a, b)
 		}
 		foundA := false
 		for _, f := range m.Singles {
@@ -172,8 +171,7 @@ func TestMaskedPairFlaggedNotMisclassified(t *testing.T) {
 			}
 		}
 		if !foundA {
-			t.Fatalf("dominated pair {%s, %s}: dominant fault not in suspect set",
-				a.Descriptor(), b.Descriptor())
+			t.Fatalf("dominated pair {%+v, %+v}: dominant fault not in suspect set", a, b)
 		}
 	}
 	if checked == 0 {
@@ -199,34 +197,5 @@ func TestClassifyUnknownFallsThrough(t *testing.T) {
 	}
 	if m := dict.Classify(y); m.Class == ClassSingle {
 		t.Fatalf("fabricated syndrome matched a single exactly: %+v", m)
-	}
-}
-
-// TestSuspectCellsRanked: suspect flattening dedups and keeps rank
-// order — singles first, then pair members.
-func TestSuspectCellsRanked(t *testing.T) {
-	prog, dict, _ := composeFixture(t, "9sym")
-	nl := prog.Netlist()
-	for _, r := range dict.Singles()[:min(8, dict.Detected)] {
-		m := dict.Classify(r.Syndrome)
-		cells := m.SuspectCells(nl)
-		// A class made only of faults with no suspect cell (stuck-ats on
-		// primary inputs have no driver) legitimately flattens to empty.
-		anyCell := false
-		for _, f := range m.Singles {
-			if _, ok := f.SuspectCell(nl); ok {
-				anyCell = true
-			}
-		}
-		if anyCell && len(cells) == 0 {
-			t.Fatalf("no suspect cells for %s", r.Fault.Descriptor())
-		}
-		seen := map[string]bool{}
-		for _, c := range cells {
-			if seen[c] {
-				t.Fatalf("duplicate suspect %q", c)
-			}
-			seen[c] = true
-		}
 	}
 }

@@ -187,7 +187,7 @@ func (s *Session) implProgram() (*sim.Machine, error) {
 
 // implMachine returns a private width-1 fork of the implementation
 // program bound to the golden primary-input order, with
-// implementation-only inputs (inserted control points) pinned to zero
+// implementation-only inputs (any the golden design lacks) pinned to zero
 // through the execution core's explicit override list.
 func (s *Session) implMachine() (*sim.Machine, error) {
 	prog, err := s.implProgram()
@@ -280,8 +280,8 @@ type Detection struct {
 
 // Detect runs words blocks of random stimulus for cycles clock cycles
 // each and compares the golden outputs against the emulated
-// implementation. Implementation-only inputs (inserted control points)
-// are held at zero through the machine's override list;
+// implementation. Implementation-only inputs (any the golden design
+// lacks) are held at zero through the machine's override list;
 // implementation-only outputs are ignored.
 func (s *Session) Detect(words, cycles int) (*Detection, error) {
 	if words < 1 || cycles < 1 {

@@ -155,13 +155,6 @@ func (r Rect) Intersects(o Rect) bool {
 	return r.X0 <= o.X1 && o.X0 <= r.X1 && r.Y0 <= o.Y1 && o.Y0 <= r.Y1
 }
 
-// Adjacent reports whether two rectangles touch edge-to-edge (or overlap):
-// the neighbor relation used when a tile borrows resources.
-func (r Rect) Adjacent(o Rect) bool {
-	grown := Rect{r.X0 - 1, r.Y0 - 1, r.X1 + 1, r.Y1 + 1}
-	return grown.Intersects(o)
-}
-
 // Union returns the bounding box of two rectangles.
 func (r Rect) Union(o Rect) Rect {
 	return Rect{min(r.X0, o.X0), min(r.Y0, o.Y0), max(r.X1, o.X1), max(r.Y1, o.Y1)}
@@ -183,16 +176,6 @@ func (s RectSet) Contains(p XY) bool {
 		}
 	}
 	return false
-}
-
-// Area returns the total covered area assuming disjoint members (tiles
-// never overlap).
-func (s RectSet) Area() int {
-	a := 0
-	for _, r := range s {
-		a += r.Area()
-	}
-	return a
 }
 
 func min(a, b int) int {

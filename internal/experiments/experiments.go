@@ -386,7 +386,7 @@ func ProbeDelta(l *core.Layout, round int) (core.Delta, error) {
 			break
 		}
 		net := netlist.NetID(ni)
-		if l.NL.Nets[ni].Dead || l.NL.Nets[ni].Driver == netlist.NilCell {
+		if l.NL.Nets[ni].Driver == netlist.NilCell {
 			continue
 		}
 		if skip < 3*round {

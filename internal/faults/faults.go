@@ -249,7 +249,7 @@ func safeAlternative(nl *netlist.Netlist, cell netlist.CellID, current netlist.N
 	var cands []netlist.NetID
 	for ni := range nl.Nets {
 		net := netlist.NetID(ni)
-		if nl.Nets[ni].Dead || net == current {
+		if net == current {
 			continue
 		}
 		d := nl.Nets[ni].Driver

@@ -90,9 +90,6 @@ func InterconnectUniverse(nl *netlist.Netlist, cfg InterconnectConfig) ([]Fault,
 	}
 	var victims, lower []netlist.NetID
 	for ni := range nl.Nets {
-		if nl.Nets[ni].Dead {
-			continue
-		}
 		id := netlist.NetID(ni)
 		d := nl.Nets[ni].Driver
 		if d != netlist.NilCell && nl.Cells[d].Kind == netlist.KindLUT {

@@ -208,7 +208,7 @@ func PairScanStim(prog *sim.Machine, ps []Pair, stim [][]uint64, onBatch func(do
 // PairScan's arming order), recompile and replay; faults with no netlist
 // form (source-net stuck-ats) run as overrides on the compiled mutant.
 // It is the differential oracle for PairScan: outcomes must be
-// bit-identical.
+// bit-identical (TestPairScanMatchesSerialAcrossCatalog).
 func SerialPairScan(prog *sim.Machine, ps []Pair, cfg ScanConfig) ([]PairScanResult, error) {
 	cfg = cfg.withDefaults()
 	stim := cfg.Stimulus(len(prog.PIOrder()))

@@ -128,7 +128,18 @@ func TestPairConsumesOneLane(t *testing.T) {
 // minterms once the partner is armed, so the pair no longer superposes.
 func influenceCells(nl *netlist.Netlist, f Fault) map[netlist.CellID]bool {
 	site := siteNet(nl, f)
-	cone := nl.TransitiveFanout([]netlist.NetID{site}, true)
+	fan := nl.Fanouts()
+	cone := make(map[netlist.CellID]bool)
+	for stack := []netlist.NetID{site}; len(stack) > 0; {
+		net := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range fan[net] {
+			if !cone[s.Cell] {
+				cone[s.Cell] = true
+				stack = append(stack, nl.Cells[s.Cell].Out)
+			}
+		}
+	}
 	if d := nl.Nets[site].Driver; d != netlist.NilCell {
 		cone[d] = true
 	}

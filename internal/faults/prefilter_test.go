@@ -26,7 +26,8 @@ func universesOf(t *testing.T, nl *netlist.Netlist, cycles, winLen, maxWindowed 
 	wu := WindowUniverse(u, cycles, winLen, maxWindowed, 9)
 	perm := make([]Fault, len(wu))
 	for i, f := range wu {
-		perm[i] = f.Permanent()
+		f.From, f.To = 0, 0 // the always-armed form of the same site
+		perm[i] = f
 	}
 	return catalogUniverses{single: u, windowed: wu, permanent: perm, interconnect: iu}
 }

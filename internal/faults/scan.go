@@ -130,9 +130,6 @@ func (s *Signer) Note(cycle, po int) {
 	s.poMask |= 1 << (uint(po) & 63)
 }
 
-// Detected reports whether any mismatch was noted.
-func (s *Signer) Detected() bool { return s.n > 0 }
-
 // Syndrome packages the accumulated stream, independent of what mutant
 // produced it — the fault-count-agnostic form Result and the pair/window
 // scanners all share.
@@ -481,7 +478,8 @@ func diffTraceInto[T any](signers []Signer, batch []T, tr, gt *sim.Trace) {
 // the mutation, recompile and replay (stuck-ats on source nets, which
 // have no netlist form, run as net overrides on a fork instead). It is
 // the differential oracle for Scan — outcomes must be bit-identical —
-// and the baseline the fault-parallel speedup is measured against.
+// and the baseline the fault-parallel speedup is measured against
+// (TestScanMatchesSerialAcrossCatalog).
 func SerialScan(prog *sim.Machine, fs []Fault, cfg ScanConfig) ([]ScanResult, error) {
 	cfg = cfg.withDefaults()
 	return SerialScanStim(prog, fs, cfg.Stimulus(len(prog.PIOrder())), cfg.OnBatch)

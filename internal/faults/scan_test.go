@@ -21,15 +21,9 @@ func TestUniverseDeterministicAndComplete(t *testing.T) {
 			t.Fatalf("universe order unstable at %d: %v vs %v", i, u1[i], u2[i])
 		}
 	}
-	// 6 live nets × 2 stuck-ats + LUT bits: g1 (3 in, 8) + g2 (2 in, 4) +
+	// 6 nets × 2 stuck-ats + LUT bits: g1 (3 in, 8) + g2 (2 in, 4) +
 	// g3 (2 in, 4).
-	liveNets := 0
-	for ni := range nl.Nets {
-		if !nl.Nets[ni].Dead {
-			liveNets++
-		}
-	}
-	want := 2*liveNets + 8 + 4 + 4
+	want := 2*len(nl.Nets) + 8 + 4 + 4
 	if len(u1) != want {
 		t.Fatalf("universe size %d, want %d", len(u1), want)
 	}

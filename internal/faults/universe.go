@@ -40,13 +40,6 @@ type Fault struct {
 // Windowed reports whether the fault carries a transient arming window.
 func (f Fault) Windowed() bool { return f.To != 0 }
 
-// Permanent strips the arming window, returning the always-armed form of
-// the same fault site.
-func (f Fault) Permanent() Fault {
-	f.From, f.To = 0, 0
-	return f
-}
-
 // Describe renders the fault with design names resolved.
 func (f Fault) Describe(nl *netlist.Netlist) string {
 	var s string
@@ -200,9 +193,6 @@ const maxFlipInputs = 4
 func Universe(nl *netlist.Netlist) []Fault {
 	var out []Fault
 	for ni := range nl.Nets {
-		if nl.Nets[ni].Dead {
-			continue
-		}
 		id := netlist.NetID(ni)
 		out = append(out,
 			Fault{Kind: StuckAt0, Net: id},
@@ -222,7 +212,8 @@ func Universe(nl *netlist.Netlist) []Fault {
 
 // Batches splits a single-fault list into 64-mutant groups, one
 // simulator lane each on a width-1 machine. The last batch may be short;
-// order is preserved.
+// order is preserved. Test fixture: the 64-lane default of BatchesN
+// (faults TestBatches).
 func Batches(fs []Fault) [][]Fault { return BatchesN(fs, 64) }
 
 // BatchesN splits a fault list into groups of at most n mutants — one

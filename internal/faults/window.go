@@ -61,7 +61,8 @@ func WindowUniverse(u []Fault, cycles, winLen, maxFaults int, seed int64) []Faul
 // handed across each boundary via StateWords/SetStateWords. Fault.Apply
 // preserves the DFF population and order (no mutation adds or removes a
 // flip-flop), so state snapshots transfer between the two compiles
-// verbatim. Outcomes must be bit-identical to the lane engine's.
+// verbatim. Outcomes must be bit-identical to the lane engine's
+// (TestWindowedScanMatchesSerialAcrossCatalog).
 func SerialWindowScan(prog *sim.Machine, fs []Fault, cfg ScanConfig) ([]ScanResult, error) {
 	cfg = cfg.withDefaults()
 	stim := cfg.Stimulus(len(prog.PIOrder()))

@@ -5,7 +5,6 @@ import (
 
 	"fpgadbg/internal/logic"
 	"fpgadbg/internal/netlist"
-	"fpgadbg/internal/pack"
 )
 
 // MISR describes one inserted observation register.
@@ -19,15 +18,6 @@ type MISR struct {
 	Cells []netlist.CellID
 }
 
-// CLBCost returns the block cost of observing w nets: one XOR LUT and one
-// DFF per stage, packed two per CLB.
-func CLBCost(w int) int {
-	if w <= 0 {
-		return 0
-	}
-	return (w + pack.LUTsPerCLB - 1) / pack.LUTsPerCLB
-}
-
 // InsertMISR adds a w-stage MISR observing the given nets. Stage i
 // computes s[i]' = obs[i] XOR s[i-1] (XOR s[w-1] on the feedback taps),
 // the standard external-feedback signature register. The signature state
@@ -39,7 +29,7 @@ func InsertMISR(nl *netlist.Netlist, name string, observed []netlist.NetID) (*MI
 		return nil, fmt.Errorf("instr: MISR needs at least one observed net")
 	}
 	for _, net := range observed {
-		if int(net) < 0 || int(net) >= len(nl.Nets) || nl.Nets[net].Dead {
+		if int(net) < 0 || int(net) >= len(nl.Nets) {
 			return nil, fmt.Errorf("instr: cannot observe invalid net %d", net)
 		}
 	}
@@ -77,57 +67,4 @@ func InsertMISR(nl *netlist.Netlist, name string, observed []netlist.NetID) (*MI
 	m.Observed = append(m.Observed, observed...)
 	m.State = state
 	return m, nil
-}
-
-// ControlPoint describes one inserted force multiplexer.
-type ControlPoint struct {
-	Name string
-	// Target is the controlled net (the original signal).
-	Target netlist.NetID
-	// Forced is the new net seen by the target's former sinks.
-	Forced netlist.NetID
-	// Select and Value are the new primary inputs steering the mux.
-	Select, Value netlist.NetID
-	Cells         []netlist.CellID
-}
-
-// InsertControlPoint splits a net: all existing sinks of target are
-// rewired to a new mux output computing (select ? value : target). Select
-// and value become primary inputs for the test harness to drive. Sinks
-// belonging to cells listed in exclude (e.g. observation logic) keep the
-// original net.
-func InsertControlPoint(nl *netlist.Netlist, name string, target netlist.NetID, exclude map[netlist.CellID]bool) (*ControlPoint, error) {
-	if int(target) < 0 || int(target) >= len(nl.Nets) || nl.Nets[target].Dead {
-		return nil, fmt.Errorf("instr: cannot control invalid net %d", target)
-	}
-	fan := nl.Fanouts()
-	sinks := fan[target]
-	if len(sinks) == 0 {
-		return nil, fmt.Errorf("instr: net %q has no sinks to control", nl.NetName(target))
-	}
-	cp := &ControlPoint{Name: name, Target: target}
-	cp.Select = nl.AddPI(name + "_sel")
-	cp.Value = nl.AddPI(name + "_val")
-	cp.Forced = nl.AddNet(name + "_out")
-	mux, err := nl.AddLUT(name+"_mux", logic.Mux2(), []netlist.NetID{cp.Select, target, cp.Value}, cp.Forced)
-	if err != nil {
-		return nil, fmt.Errorf("instr: %w", err)
-	}
-	cp.Cells = append(cp.Cells, mux)
-	for _, s := range sinks {
-		if exclude[s.Cell] {
-			continue
-		}
-		if err := nl.SetFanin(s.Cell, s.Pin, cp.Forced); err != nil {
-			return nil, fmt.Errorf("instr: %w", err)
-		}
-	}
-	return cp, nil
-}
-
-// Signature computes the MISR's final signature from probed state words
-// (one uint64 of parallel patterns per stage); used by the debug engine to
-// compare golden and implementation signatures.
-func (m *MISR) Signature(stateWords []uint64) []uint64 {
-	return append([]uint64(nil), stateWords...)
 }

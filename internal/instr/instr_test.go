@@ -23,15 +23,6 @@ func smallDesign(t testing.TB) (*netlist.Netlist, []netlist.NetID) {
 	return nl, []netlist.NetID{x, y}
 }
 
-func TestCLBCost(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 1, 2: 1, 3: 2, 8: 4}
-	for w, want := range cases {
-		if got := CLBCost(w); got != want {
-			t.Errorf("CLBCost(%d) = %d, want %d", w, got, want)
-		}
-	}
-}
-
 func TestInsertMISRSignatureDiffers(t *testing.T) {
 	// Identical circuits produce identical signatures; a corrupted circuit
 	// produces a different one — the detection flag.
@@ -121,69 +112,5 @@ func TestInsertMISRErrors(t *testing.T) {
 	}
 	if _, err := InsertMISR(nl, "m", []netlist.NetID{999}); err == nil {
 		t.Fatal("invalid net accepted")
-	}
-}
-
-func TestControlPointForcesValue(t *testing.T) {
-	nl, _ := smallDesign(t)
-	x, _ := nl.NetByName("x")
-	cp, err := InsertControlPoint(nl, "cp", x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nl.CheckDriven(); err != nil {
-		t.Fatal(err)
-	}
-	mach, err := sim.Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mach.BindNames([]string{"a", "b", "c", "cp_sel", "cp_val"}); err != nil {
-		t.Fatal(err)
-	}
-	cols, err := mach.POCols([]string{"y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ones = ^uint64(0)
-	tr := mach.RunTrace([][]uint64{
-		{ones, 0, ones, 0, 0},    // normal mode (sel=0): y = (a^b)&c
-		{ones, 0, ones, ones, 0}, // force mode: x forced to 0 regardless of a,b
-		{0, 0, ones, ones, ones}, // force mode: x forced to 1
-	})
-	if y := tr.Out(0, cols[0]); y != ones {
-		t.Fatalf("normal mode broken: y=%x", y)
-	}
-	if y := tr.Out(1, cols[0]); y != 0 {
-		t.Fatalf("force-0 failed: y=%x", y)
-	}
-	if y := tr.Out(2, cols[0]); y != ones {
-		t.Fatalf("force-1 failed: y=%x", y)
-	}
-	if len(cp.Cells) != 1 {
-		t.Fatalf("expected 1 mux cell, got %d", len(cp.Cells))
-	}
-}
-
-func TestControlPointExcludes(t *testing.T) {
-	nl, _ := smallDesign(t)
-	x, _ := nl.NetByName("x")
-	g2, _ := nl.CellByName("g2")
-	_, err := InsertControlPoint(nl, "cp", x, map[netlist.CellID]bool{g2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// g2 still reads the raw net.
-	if nl.Cells[g2].Fanin[0] != x {
-		t.Fatal("excluded sink was rewired")
-	}
-}
-
-func TestControlPointNoSinks(t *testing.T) {
-	nl := netlist.New("n")
-	a := nl.AddPI("a")
-	nl.MarkPO(a)
-	if _, err := InsertControlPoint(nl, "cp", a, nil); err == nil {
-		t.Fatal("sink-less net accepted")
 	}
 }

@@ -27,6 +27,7 @@ func OrN(n int) Cover {
 }
 
 // NandN returns the n-input NAND (one negative literal per cube).
+// Test fixture of the logic, netlist, eco and synth tests.
 func NandN(n int) Cover {
 	c := Cover{N: n, Cubes: make([]Cube, n)}
 	for i := 0; i < n; i++ {
@@ -109,12 +110,4 @@ func Symmetric(n int, want func(onesCount int) bool) Cover {
 // EqConst returns the n-input function true exactly on assignment k.
 func EqConst(n int, k uint64) Cover {
 	return Cover{N: n, Cubes: []Cube{CubeOfMinterm(n, k)}}
-}
-
-// TTFromWord4 builds a 4-variable truth table from its 16-bit configuration
-// word, the inverse of TT.Word4.
-func TTFromWord4(w uint16) TT {
-	t := NewTT(4)
-	t.W[0] = uint64(w)
-	return t
 }

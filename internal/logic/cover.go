@@ -63,6 +63,7 @@ func FromStrings(rows ...string) (Cover, error) {
 
 // MustFromStrings is FromStrings that panics on malformed input; intended
 // for statically known tables such as the DES S-boxes.
+// Test fixture of the logic, synth and faults tests.
 func MustFromStrings(rows ...string) Cover {
 	c, err := FromStrings(rows...)
 	if err != nil {
@@ -108,36 +109,6 @@ func (c Cover) EvalWords(in []uint64) uint64 {
 		}
 	}
 	return out
-}
-
-// Or returns the disjunction of two covers over the same variable count.
-func (c Cover) Or(d Cover) Cover {
-	if c.N != d.N {
-		panic(fmt.Sprintf("logic: Or on mismatched widths %d and %d", c.N, d.N))
-	}
-	out := Cover{N: c.N, Cubes: make([]Cube, 0, len(c.Cubes)+len(d.Cubes))}
-	out.Cubes = append(out.Cubes, c.Cubes...)
-	out.Cubes = append(out.Cubes, d.Cubes...)
-	return out
-}
-
-// And returns the product of two covers (cross product of cube lists with
-// single-cube containment cleanup). The result can be quadratically larger
-// than the inputs; callers working with wide covers should prefer
-// decomposition in package synth.
-func (c Cover) And(d Cover) Cover {
-	if c.N != d.N {
-		panic(fmt.Sprintf("logic: And on mismatched widths %d and %d", c.N, d.N))
-	}
-	out := Cover{N: c.N}
-	for _, cu := range c.Cubes {
-		for _, du := range d.Cubes {
-			if p, ok := cu.And(du); ok {
-				out.Cubes = append(out.Cubes, p)
-			}
-		}
-	}
-	return out.Irredundant()
 }
 
 // Cofactor returns the Shannon cofactor of the cover with variable v fixed
@@ -200,24 +171,6 @@ func (c Cover) Compact() (Cover, []int) {
 		out.Cubes = append(out.Cubes, nc)
 	}
 	return out, vars
-}
-
-// Permute remaps variables: old variable i becomes new variable perm[i] in
-// a cover over newN variables. len(perm) must be at least the largest
-// support variable + 1.
-func (c Cover) Permute(newN int, perm []int) Cover {
-	out := Cover{N: newN, Cubes: make([]Cube, 0, len(c.Cubes))}
-	for _, cu := range c.Cubes {
-		var nc Cube
-		m := cu.Mask
-		for m != 0 {
-			v := bits.TrailingZeros64(m)
-			m &= m - 1
-			nc = nc.WithLit(perm[v], cu.LitVal(v))
-		}
-		out.Cubes = append(out.Cubes, nc)
-	}
-	return out
 }
 
 // Irredundant removes cubes that are contained in another cube of the
@@ -305,22 +258,6 @@ func (c Cover) HasTautologyCube() bool {
 	return false
 }
 
-// IsTautology decides exactly whether the cover is the constant true, by
-// recursive Shannon expansion on the most-tested variable.
-func (c Cover) IsTautology() bool {
-	if c.HasTautologyCube() {
-		return true
-	}
-	if len(c.Cubes) == 0 {
-		return false
-	}
-	v := c.mostTestedVar()
-	if v < 0 {
-		return false
-	}
-	return c.Cofactor(v, false).IsTautology() && c.Cofactor(v, true).IsTautology()
-}
-
 // MostTestedVar returns the variable appearing in the most cubes, or -1
 // when no cube tests any variable — the classic Shannon splitting choice.
 func (c Cover) MostTestedVar() int { return c.mostTestedVar() }
@@ -359,7 +296,7 @@ func (c Cover) TT() (TT, error) {
 }
 
 // MustTT is TT for statically narrow covers; it panics when N exceeds
-// TTMaxVars.
+// TTMaxVars. Test fixture of the repair and sim tests.
 func (c Cover) MustTT() TT {
 	t, err := c.TT()
 	if err != nil {
@@ -393,19 +330,6 @@ func (c Cover) Not() (Cover, error) {
 		return Cover{}, err
 	}
 	return t.Not().ToCover(), nil
-}
-
-// NumCubes returns the number of product terms.
-func (c Cover) NumCubes() int { return len(c.Cubes) }
-
-// NumLits returns the total literal count across cubes, a standard
-// two-level cost metric.
-func (c Cover) NumLits() int {
-	n := 0
-	for _, cu := range c.Cubes {
-		n += cu.NumLits()
-	}
-	return n
 }
 
 // Clone returns a deep copy.

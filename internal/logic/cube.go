@@ -61,28 +61,10 @@ func maskN(n int) uint64 {
 // the value of variable i.
 func (c Cube) Eval(assign uint64) bool { return assign&c.Mask == c.Val }
 
-// NumLits returns the number of literals in the cube.
-func (c Cube) NumLits() int { return bits.OnesCount64(c.Mask) }
-
 // Contains reports whether every minterm of d is also a minterm of c, i.e.
 // whether every literal of c appears in d with the same polarity.
 func (c Cube) Contains(d Cube) bool {
 	return c.Mask&^d.Mask == 0 && d.Val&c.Mask == c.Val
-}
-
-// Intersects reports whether the two cubes share at least one minterm.
-func (c Cube) Intersects(d Cube) bool {
-	m := c.Mask & d.Mask
-	return c.Val&m == d.Val&m
-}
-
-// And returns the product of two cubes. ok is false when the product is
-// empty (the cubes conflict on some variable).
-func (c Cube) And(d Cube) (prod Cube, ok bool) {
-	if !c.Intersects(d) {
-		return Cube{}, false
-	}
-	return Cube{Mask: c.Mask | d.Mask, Val: c.Val | d.Val}, true
 }
 
 // TestsVar reports whether variable v appears as a literal.

@@ -45,25 +45,15 @@ func TestCubeFromString(t *testing.T) {
 	}
 }
 
-func TestCubeContainsIntersects(t *testing.T) {
+func TestCubeContains(t *testing.T) {
 	a, _ := CubeFromString("1--")
 	b, _ := CubeFromString("10-")
 	c, _ := CubeFromString("0--")
 	if !a.Contains(b) {
 		t.Fatal("1-- should contain 10-")
 	}
-	if b.Contains(a) {
-		t.Fatal("10- should not contain 1--")
-	}
-	if !a.Intersects(b) || a.Intersects(c) {
-		t.Fatal("intersection wrong")
-	}
-	if _, ok := a.And(c); ok {
-		t.Fatal("conflicting cubes should have empty product")
-	}
-	p, ok := a.And(b)
-	if !ok || p != b {
-		t.Fatalf("a·b should be b, got %v ok=%v", p, ok)
+	if b.Contains(a) || a.Contains(c) {
+		t.Fatal("10- and 0-- should not contain 1--")
 	}
 }
 
@@ -104,23 +94,11 @@ func TestConstCovers(t *testing.T) {
 	if !f.IsConstFalse() || tr.IsConstFalse() {
 		t.Fatal("const classification wrong")
 	}
-	if !tr.IsTautology() || f.IsTautology() {
+	if !tr.HasTautologyCube() || f.HasTautologyCube() {
 		t.Fatal("tautology classification wrong")
 	}
 	if f.Eval(5) || !tr.Eval(5) {
 		t.Fatal("const eval wrong")
-	}
-}
-
-func TestIsTautologyNontrivial(t *testing.T) {
-	// x + x' is a tautology without containing the empty cube.
-	c := Var(2, 0).Or(NotVarC(2, 0))
-	if !c.IsTautology() {
-		t.Fatal("x + x' must be a tautology")
-	}
-	d := Var(2, 0).Or(Var(2, 1))
-	if d.IsTautology() {
-		t.Fatal("x + y is not a tautology")
 	}
 }
 
@@ -161,8 +139,8 @@ func TestSimplifyPreservesFunction(t *testing.T) {
 				t.Fatalf("simplify changed function at %b: %s -> %s", m, c, s)
 			}
 		}
-		if s.NumCubes() > c.NumCubes() {
-			t.Fatalf("simplify grew the cover: %d -> %d", c.NumCubes(), s.NumCubes())
+		if len(s.Cubes) > len(c.Cubes) {
+			t.Fatalf("simplify grew the cover: %d -> %d", len(c.Cubes), len(s.Cubes))
 		}
 	}
 }
@@ -210,25 +188,6 @@ func TestEvalWordsMatchesEval(t *testing.T) {
 	}
 }
 
-func TestAndOrSemantics(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 150; trial++ {
-		n := 1 + r.Intn(5)
-		a := randCover(r, n, 5)
-		b := randCover(r, n, 5)
-		and := a.And(b)
-		or := a.Or(b)
-		for m := uint64(0); m < uint64(1)<<n; m++ {
-			if and.Eval(m) != (a.Eval(m) && b.Eval(m)) {
-				t.Fatalf("And semantics wrong")
-			}
-			if or.Eval(m) != (a.Eval(m) || b.Eval(m)) {
-				t.Fatalf("Or semantics wrong")
-			}
-		}
-	}
-}
-
 func TestNotViaTT(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -246,7 +205,7 @@ func TestNotViaTT(t *testing.T) {
 	}
 }
 
-func TestCompactAndPermute(t *testing.T) {
+func TestCoverCompact(t *testing.T) {
 	// f over 6 vars but only depends on vars 1 and 4.
 	c := FromCubes(6,
 		Cube{}.WithLit(1, true).WithLit(4, false),
@@ -267,38 +226,6 @@ func TestCompactAndPermute(t *testing.T) {
 			t.Fatalf("compact changed function")
 		}
 	}
-	// Permute back.
-	perm := []int{1, 4}
-	back := cc.Permute(6, perm)
-	for m := uint64(0); m < 64; m++ {
-		if back.Eval(m) != c.Eval(m) {
-			t.Fatalf("permute roundtrip failed at %b", m)
-		}
-	}
-}
-
-func TestTTBasics(t *testing.T) {
-	x := TTVar(3, 0)
-	y := TTVar(3, 1)
-	and := x.And(y)
-	for m := uint64(0); m < 8; m++ {
-		want := m&1 != 0 && m&2 != 0
-		if and.Bit(m) != want {
-			t.Fatalf("and.Bit(%b)", m)
-		}
-	}
-	if c, _ := TTConst(3, true).IsConst(); !c {
-		t.Fatal("const true not detected")
-	}
-	if and.DependsOn(2) {
-		t.Fatal("x·y must not depend on var 2")
-	}
-	if !and.DependsOn(0) || !and.DependsOn(1) {
-		t.Fatal("x·y must depend on vars 0,1")
-	}
-	if and.SupportSize() != 2 {
-		t.Fatal("support size")
-	}
 }
 
 func TestTTWideWords(t *testing.T) {
@@ -307,26 +234,21 @@ func TestTTWideWords(t *testing.T) {
 	if len(p.W) != 4 {
 		t.Fatalf("expected 4 words, got %d", len(p.W))
 	}
-	if p.CountOnes() != 128 {
-		t.Fatalf("parity ones = %d", p.CountOnes())
-	}
 	np := p.Not()
-	if np.CountOnes() != 128 {
-		t.Fatalf("complement ones = %d", np.CountOnes())
-	}
-	if !p.Xor(np).Equal(TTConst(8, true)) {
-		t.Fatal("p xor ~p must be const 1")
-	}
-}
-
-func TestTTCofactor(t *testing.T) {
-	f := TTFromFunc(4, func(m uint64) bool { return m&1 != 0 || (m&2 != 0 && m&4 != 0) })
-	c1 := f.CofactorTT(0, true)
-	c0 := f.CofactorTT(0, false)
-	for m := uint64(0); m < 16; m++ {
-		if c1.Bit(m) != f.Bit(m|1) || c0.Bit(m) != f.Bit(m&^1) {
-			t.Fatalf("tt cofactor wrong at %b", m)
+	ones := 0
+	for m := uint64(0); m < 256; m++ {
+		if p.Bit(m) == np.Bit(m) {
+			t.Fatalf("complement agrees with parity at %b", m)
 		}
+		if p.Bit(m) {
+			ones++
+		}
+	}
+	if ones != 128 {
+		t.Fatalf("parity ones = %d", ones)
+	}
+	if !np.Not().Equal(p) || np.Equal(p) {
+		t.Fatal("double complement must restore parity")
 	}
 }
 
@@ -352,7 +274,7 @@ func TestCoverTTRoundtrip(t *testing.T) {
 
 func TestWord4Roundtrip(t *testing.T) {
 	for _, w := range []uint16{0x0000, 0xffff, 0x8000, 0x6996, 0xcafe} {
-		tt := TTFromWord4(w)
+		tt := TTFromFunc(4, func(m uint64) bool { return w>>m&1 != 0 })
 		got, err := tt.Word4()
 		if err != nil {
 			t.Fatal(err)
@@ -362,7 +284,7 @@ func TestWord4Roundtrip(t *testing.T) {
 		}
 	}
 	// Narrower tables replicate across unused variables.
-	x := TTVar(1, 0)
+	x := TTFromFunc(1, func(m uint64) bool { return m&1 != 0 })
 	w, err := x.Word4()
 	if err != nil {
 		t.Fatal(err)
@@ -436,8 +358,8 @@ func TestSymmetric9sym(t *testing.T) {
 			t.Fatalf("9sym wrong at %09b", m)
 		}
 	}
-	if f.NumCubes() >= 512 {
-		t.Fatalf("simplify did not reduce the minterm list: %d cubes", f.NumCubes())
+	if len(f.Cubes) >= 512 {
+		t.Fatalf("simplify did not reduce the minterm list: %d cubes", len(f.Cubes))
 	}
 }
 
@@ -447,32 +369,6 @@ func TestEqConst(t *testing.T) {
 		if f.Eval(m) != (m == 19) {
 			t.Fatalf("EqConst at %b", m)
 		}
-	}
-}
-
-// Property: Or never loses minterms; And of a cover with itself is itself
-// semantically.
-func TestQuickCoverProperties(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(31))}
-	prop := func(seed int64, nRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + int(nRaw%7)
-		a := randCover(r, n, 6)
-		b := randCover(r, n, 6)
-		or := a.Or(b)
-		andSelf := a.And(a)
-		for m := uint64(0); m < uint64(1)<<n; m++ {
-			if a.Eval(m) && !or.Eval(m) {
-				return false
-			}
-			if andSelf.Eval(m) != a.Eval(m) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -495,36 +391,6 @@ func TestQuickCanon(t *testing.T) {
 		}
 		for m := uint64(0); m < uint64(1)<<n; m++ {
 			if a.Eval(m) != c.Eval(m) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: TT binary ops agree with pointwise semantics.
-func TestQuickTTOps(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(41))}
-	prop := func(seed int64, nRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + int(nRaw%8)
-		a := TTFromFunc(n, func(uint64) bool { return r.Intn(2) == 0 })
-		b := TTFromFunc(n, func(uint64) bool { return r.Intn(2) == 0 })
-		and, or, xor, not := a.And(b), a.Or(b), a.Xor(b), a.Not()
-		for m := uint64(0); m < uint64(1)<<n; m++ {
-			if and.Bit(m) != (a.Bit(m) && b.Bit(m)) {
-				return false
-			}
-			if or.Bit(m) != (a.Bit(m) || b.Bit(m)) {
-				return false
-			}
-			if xor.Bit(m) != (a.Bit(m) != b.Bit(m)) {
-				return false
-			}
-			if not.Bit(m) == a.Bit(m) {
 				return false
 			}
 		}

@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -55,23 +54,6 @@ func TTFromFunc(n int, f func(assign uint64) bool) TT {
 	return t
 }
 
-// TTConst returns the constant-v table over n variables.
-func TTConst(n int, v bool) TT {
-	t := NewTT(n)
-	if v {
-		for i := range t.W {
-			t.W[i] = ^uint64(0)
-		}
-		t.W[len(t.W)-1] &= t.tailMask()
-	}
-	return t
-}
-
-// TTVar returns the projection table of variable i over n variables.
-func TTVar(n, i int) TT {
-	return TTFromFunc(n, func(m uint64) bool { return m&(1<<i) != 0 })
-}
-
 // Bit returns the function value on assignment m.
 func (t TT) Bit(m uint64) bool { return t.W[m>>6]&(1<<(m&63)) != 0 }
 
@@ -96,27 +78,6 @@ func (t *TT) orCube(c Cube) {
 	}
 }
 
-func (t TT) binop(u TT, f func(a, b uint64) uint64) TT {
-	if t.N != u.N {
-		panic(fmt.Sprintf("logic: TT binop on mismatched widths %d and %d", t.N, u.N))
-	}
-	out := NewTT(t.N)
-	for i := range t.W {
-		out.W[i] = f(t.W[i], u.W[i])
-	}
-	out.W[len(out.W)-1] &= out.tailMask()
-	return out
-}
-
-// And returns the conjunction of two equally wide tables.
-func (t TT) And(u TT) TT { return t.binop(u, func(a, b uint64) uint64 { return a & b }) }
-
-// Or returns the disjunction of two equally wide tables.
-func (t TT) Or(u TT) TT { return t.binop(u, func(a, b uint64) uint64 { return a | b }) }
-
-// Xor returns the exclusive or of two equally wide tables.
-func (t TT) Xor(u TT) TT { return t.binop(u, func(a, b uint64) uint64 { return a ^ b }) }
-
 // Not returns the complement.
 func (t TT) Not() TT {
 	out := NewTT(t.N)
@@ -138,61 +99,6 @@ func (t TT) Equal(u TT) bool {
 		}
 	}
 	return true
-}
-
-// CountOnes returns the number of satisfying assignments.
-func (t TT) CountOnes() int {
-	n := 0
-	for _, w := range t.W {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// IsConst reports whether the table is constant, and the constant value.
-func (t TT) IsConst() (isConst, value bool) {
-	ones := t.CountOnes()
-	switch {
-	case ones == 0:
-		return true, false
-	case uint64(ones) == t.size():
-		return true, true
-	default:
-		return false, false
-	}
-}
-
-// DependsOn reports whether the function actually depends on variable v.
-func (t TT) DependsOn(v int) bool {
-	return !t.CofactorTT(v, false).Equal(t.CofactorTT(v, true))
-}
-
-// CofactorTT returns the cofactor with variable v fixed to val; the width is
-// unchanged and the result is independent of v.
-func (t TT) CofactorTT(v int, val bool) TT {
-	out := NewTT(t.N)
-	bit := uint64(1) << v
-	for m := uint64(0); m < t.size(); m++ {
-		src := m &^ bit
-		if val {
-			src |= bit
-		}
-		if t.Bit(src) {
-			out.W[m>>6] |= 1 << (m & 63)
-		}
-	}
-	return out
-}
-
-// SupportSize returns the number of variables the function depends on.
-func (t TT) SupportSize() int {
-	n := 0
-	for v := 0; v < t.N; v++ {
-		if t.DependsOn(v) {
-			n++
-		}
-	}
-	return n
 }
 
 // ToCover converts the table to a cover (minterm expansion followed by

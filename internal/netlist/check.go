@@ -49,9 +49,6 @@ func (n *Netlist) Check() error {
 	}
 	for ni := range n.Nets {
 		net := &n.Nets[ni]
-		if net.Dead {
-			continue
-		}
 		if net.Driver != NilCell {
 			if !n.validCell(net.Driver) {
 				return fmt.Errorf("netlist: net %q driven by dead/invalid cell %d", net.Name, net.Driver)
@@ -104,7 +101,7 @@ func (n *Netlist) CheckDriven() error {
 	fan := n.Fanouts()
 	for ni := range n.Nets {
 		net := &n.Nets[ni]
-		if net.Dead || isPI[NetID(ni)] || net.Driver != NilCell {
+		if isPI[NetID(ni)] || net.Driver != NilCell {
 			continue
 		}
 		if len(fan[ni]) > 0 || n.IsPO(NetID(ni)) {

@@ -6,7 +6,7 @@ import (
 )
 
 // Clone returns a deep copy of the netlist, preserving IDs (including
-// tombstones).
+// cell tombstones).
 func (n *Netlist) Clone() *Netlist {
 	out := &Netlist{
 		Name:       n.Name,
@@ -33,23 +33,17 @@ func (n *Netlist) Clone() *Netlist {
 	return out
 }
 
-// Compact rebuilds the netlist without tombstones. It returns the new
-// netlist along with old→new cell and net ID maps (dead entries map to
-// NilCell/NilNet).
+// Compact rebuilds the netlist without tombstoned cells. It returns the
+// new netlist along with old→new cell and net ID maps (dead cells map to
+// NilCell; every net survives).
 func (n *Netlist) Compact() (*Netlist, []CellID, []NetID) {
 	netMap := make([]NetID, len(n.Nets))
 	cellMap := make([]CellID, len(n.Cells))
 	out := New(n.Name)
-	for i := range netMap {
-		netMap[i] = NilNet
-	}
 	for i := range cellMap {
 		cellMap[i] = NilCell
 	}
 	for ni := range n.Nets {
-		if n.Nets[ni].Dead {
-			continue
-		}
 		netMap[ni] = out.AddNet(n.Nets[ni].Name)
 	}
 	for ci := range n.Cells {
@@ -75,15 +69,11 @@ func (n *Netlist) Compact() (*Netlist, []CellID, []NetID) {
 		cellMap[ci] = id
 	}
 	for _, pi := range n.PIs {
-		if netMap[pi] != NilNet {
-			// AddNet already created it undriven; just register.
-			out.PIs = append(out.PIs, netMap[pi])
-		}
+		// AddNet already created it undriven; just register.
+		out.PIs = append(out.PIs, netMap[pi])
 	}
 	for _, po := range n.POs {
-		if netMap[po] != NilNet {
-			out.POs = append(out.POs, netMap[po])
-		}
+		out.POs = append(out.POs, netMap[po])
 	}
 	return out, cellMap, netMap
 }
@@ -144,7 +134,7 @@ func (n *Netlist) Stats() Stats {
 			s.MaxFanin = len(c.Fanin)
 		}
 	}
-	s.Nets = n.NumLiveNets()
+	s.Nets = len(n.Nets)
 	s.PIs = len(n.PIs)
 	s.POs = len(n.POs)
 	if _, d, err := n.Levels(); err == nil {

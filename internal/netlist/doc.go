@@ -11,9 +11,10 @@
 //     fanin pin i. A LUT with zero fanins is a constant.
 //   - DFF cells have exactly one fanin (D) and drive their output (Q) on
 //     the implicit global clock edge; Init gives the power-on value.
-//   - Removed cells and nets are tombstoned (Dead) rather than compacted,
-//     so IDs held by other packages stay valid; Compact rebuilds densely
-//     and returns the remapping.
+//   - Removed cells are tombstoned (Cell.Dead) rather than compacted, so
+//     IDs held by other packages stay valid; nets are never removed (a
+//     removed cell leaves its output net undriven). Compact rebuilds
+//     densely and returns the remapping.
 //   - Every mutator is journaled (journal.go): while a transaction is
 //     open — core.Layout checkpoints enable it — the inverse of each
 //     mutation is recorded, and RollbackJournal restores the netlist

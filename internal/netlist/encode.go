@@ -17,8 +17,8 @@ type wire struct {
 }
 
 // MarshalBinary encodes the netlist exactly: every cell and net keeps its
-// ID, name and tombstone, so a decoded copy simulates, places and digests
-// like the original. The journal is not encoded.
+// ID and name, and every cell its tombstone, so a decoded copy simulates,
+// places and digests like the original. The journal is not encoded.
 func (n *Netlist) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wire{n.Name, n.Cells, n.Nets, n.PIs, n.POs}); err != nil {
@@ -37,9 +37,7 @@ func (n *Netlist) UnmarshalBinary(data []byte) error {
 	*n = Netlist{Name: w.Name, Cells: w.Cells, Nets: w.Nets, PIs: w.PIs, POs: w.POs,
 		netByName: make(map[string]NetID, len(w.Nets)), cellByName: make(map[string]CellID, len(w.Cells))}
 	for i := range n.Nets {
-		if !n.Nets[i].Dead {
-			n.netByName[n.Nets[i].Name] = NetID(i)
-		}
+		n.netByName[n.Nets[i].Name] = NetID(i)
 	}
 	for i := range n.Cells {
 		if !n.Cells[i].Dead {

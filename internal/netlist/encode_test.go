@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -8,8 +10,8 @@ import (
 )
 
 // TestBinaryRoundTripExact encodes a netlist with a DFF, constants and a
-// tombstoned cell and net: the decoded copy keeps every ID, name, cover
-// and tombstone, and its name indexes work.
+// tombstoned cell: the decoded copy keeps every ID, name, cover and
+// tombstone, and its name indexes work.
 func TestBinaryRoundTripExact(t *testing.T) {
 	n, sum, _ := buildFullAdder(t)
 	q := n.AddNet("q")
@@ -22,9 +24,6 @@ func TestBinaryRoundTripExact(t *testing.T) {
 	n.MarkPO(q)
 	dead, _ := n.CellByName("c0")
 	if err := n.RemoveCell(dead); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.RemoveNet(zero); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,10 +55,75 @@ func TestBinaryRoundTripExact(t *testing.T) {
 	if id, ok := back.CellByName("ff"); !ok || back.Cells[id].Kind != KindDFF {
 		t.Fatalf("CellByName(ff) = %d, %v", id, ok)
 	}
-	if _, ok := back.NetByName("zero"); ok {
-		t.Fatal("tombstoned net still indexed")
+	if _, ok := back.CellByName("c0"); ok {
+		t.Fatal("tombstoned cell still indexed")
+	}
+	if id, ok := back.NetByName("zero"); !ok || id != zero {
+		t.Fatalf("NetByName(zero) = %d, %v: a removed cell's output net stays indexed", id, ok)
 	}
 	if err := back.UnmarshalBinary(data[:len(data)/2]); err == nil {
 		t.Fatal("decoded a truncated encoding")
+	}
+}
+
+// TestDecodesLegacyNetTombstones: netlists encoded while nets still had
+// a tombstone field carry a Dead flag on every net (always false, since
+// no product path removed a net). They still decode, pass Check and keep
+// their fingerprint, so a durable data dir written then restores its
+// spilled netlists.
+func TestDecodesLegacyNetTombstones(t *testing.T) {
+	type legacyNet struct {
+		Name   string
+		Driver CellID
+		Dead   bool
+	}
+	type legacyWire struct {
+		Name  string
+		Cells []Cell
+		Nets  []legacyNet
+		PIs   []NetID
+		POs   []NetID
+	}
+	n, sum, _ := buildFullAdder(t)
+	q := n.AddNet("q")
+	if _, err := n.AddDFF("ff", sum, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	n.MarkPO(q)
+	maj, _ := n.CellByName("maj3")
+	if err := n.RemoveCell(maj); err != nil {
+		t.Fatal(err)
+	}
+	w := legacyWire{Name: n.Name, Cells: n.Cells, PIs: n.PIs, POs: n.POs}
+	for _, net := range n.Nets {
+		w.Nets = append(w.Nets, legacyNet{Name: net.Name, Driver: net.Driver})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	current, err := n.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), current) {
+		t.Fatal("legacy encoding equals the current one; the test exercises nothing")
+	}
+
+	var back Netlist
+	if err := back.UnmarshalBinary(buf.Bytes()); err != nil {
+		t.Fatalf("legacy netlist does not decode: %v", err)
+	}
+	if err := back.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if back.Fingerprint() != n.Fingerprint() {
+		t.Fatalf("fingerprint %s, want %s", back.Fingerprint(), n.Fingerprint())
+	}
+	if g, w := fmt.Sprintf("%+v", back.Nets), fmt.Sprintf("%+v", n.Nets); g != w {
+		t.Fatalf("nets differ:\n  got  %s\n  want %s", g, w)
+	}
+	if id, ok := back.NetByName("cout"); !ok || back.Nets[id].Driver != NilCell {
+		t.Fatalf("NetByName(cout) = %d, %v", id, ok)
 	}
 }

@@ -75,9 +75,6 @@ func TestFingerprintIgnoresTombstones(t *testing.T) {
 	if err := nl.RemoveCell(extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := nl.RemoveNet(extraOut); err != nil {
-		t.Fatal(err)
-	}
 	if got := nl.Fingerprint(); got != fpTestDesign().Fingerprint() {
 		t.Fatalf("tombstoned cell still contributes: %s", got)
 	}

@@ -25,7 +25,6 @@ const (
 	opFuncSet
 	opInitSet
 	opCellRemoved
-	opNetRemoved
 )
 
 type journalOp struct {
@@ -99,9 +98,6 @@ func (n *Netlist) RollbackJournal(mark int) {
 			if op.hadDriver {
 				n.Nets[c.Out].Driver = op.cell
 			}
-		case opNetRemoved:
-			n.Nets[op.net].Dead = false
-			n.netByName[op.name] = op.net
 		}
 	}
 	if mark < len(n.journal) {

@@ -48,9 +48,6 @@ func TestJournalRollbackRestoresFingerprint(t *testing.T) {
 	if err := n.RemoveCell(extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.RemoveNet(out); err != nil {
-		t.Fatal(err)
-	}
 	if n.Fingerprint() == want {
 		t.Fatal("mutations did not change the fingerprint")
 	}
@@ -111,25 +108,5 @@ func TestJournalDisabledRecordsNothing(t *testing.T) {
 	}
 	if n.Clone().JournalActive() {
 		t.Fatal("clone inherited journaling")
-	}
-}
-
-func TestJournalRemoveNetRollback(t *testing.T) {
-	n := New("rm")
-	a := n.AddPI("a")
-	dangling := n.AddNet("dangling")
-	_ = a
-	want := n.Fingerprint()
-	n.SetJournaling(true)
-	mark := n.JournalLen()
-	if err := n.RemoveNet(dangling); err != nil {
-		t.Fatal(err)
-	}
-	n.RollbackJournal(mark)
-	if n.Fingerprint() != want {
-		t.Fatal("RemoveNet rollback failed")
-	}
-	if id, ok := n.NetByName("dangling"); !ok || id != dangling {
-		t.Fatal("rolled-back net not resolvable")
 	}
 }

@@ -59,7 +59,6 @@ type Cell struct {
 type Net struct {
 	Name   string
 	Driver CellID // NilCell when undriven (primary input or dangling)
-	Dead   bool
 }
 
 // Sink is one fanin connection of a cell.
@@ -101,17 +100,6 @@ func (n *Netlist) NumLiveCells() int {
 	c := 0
 	for i := range n.Cells {
 		if !n.Cells[i].Dead {
-			c++
-		}
-	}
-	return c
-}
-
-// NumLiveNets counts non-tombstoned nets.
-func (n *Netlist) NumLiveNets() int {
-	c := 0
-	for i := range n.Nets {
-		if !n.Nets[i].Dead {
 			c++
 		}
 	}
@@ -262,7 +250,7 @@ func (n *Netlist) AddInv(name string, in, out NetID) (CellID, error) {
 }
 
 func (n *Netlist) validNet(id NetID) bool {
-	return id >= 0 && int(id) < len(n.Nets) && !n.Nets[id].Dead
+	return id >= 0 && int(id) < len(n.Nets)
 }
 
 func (n *Netlist) validCell(id CellID) bool {
@@ -299,31 +287,6 @@ func (n *Netlist) RemoveCell(id CellID) error {
 	delete(n.cellByName, c.Name)
 	c.Dead = true
 	n.record(journalOp{kind: opCellRemoved, cell: id, name: c.Name, hadDriver: hadDriver})
-	return nil
-}
-
-// RemoveNet tombstones an undriven net with no remaining sinks. The caller
-// is responsible for having rewired sinks first (Check enforces this).
-func (n *Netlist) RemoveNet(id NetID) error {
-	if !n.validNet(id) {
-		return fmt.Errorf("netlist: RemoveNet: invalid net %d", id)
-	}
-	if n.Nets[id].Driver != NilCell {
-		return fmt.Errorf("netlist: RemoveNet: net %q still driven", n.Nets[id].Name)
-	}
-	for ci := range n.Cells {
-		if n.Cells[ci].Dead {
-			continue
-		}
-		for _, f := range n.Cells[ci].Fanin {
-			if f == id {
-				return fmt.Errorf("netlist: RemoveNet: net %q still has sinks", n.Nets[id].Name)
-			}
-		}
-	}
-	delete(n.netByName, n.Nets[id].Name)
-	n.Nets[id].Dead = true
-	n.record(journalOp{kind: opNetRemoved, net: id, name: n.Nets[id].Name})
 	return nil
 }
 

@@ -127,31 +127,3 @@ func (n *Netlist) TransitiveFanin(roots []NetID, through bool) map[CellID]bool {
 	}
 	return seen
 }
-
-// TransitiveFanout returns the set of live cells reachable forward from the
-// given nets (crossing DFF boundaries when through is true).
-func (n *Netlist) TransitiveFanout(roots []NetID, through bool) map[CellID]bool {
-	fan := n.Fanouts()
-	seen := make(map[CellID]bool)
-	stack := append([]NetID(nil), roots...)
-	visited := make(map[NetID]bool)
-	for len(stack) > 0 {
-		net := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[net] {
-			continue
-		}
-		visited[net] = true
-		for _, s := range fan[net] {
-			if n.Cells[s.Cell].Dead || seen[s.Cell] {
-				continue
-			}
-			seen[s.Cell] = true
-			if n.Cells[s.Cell].Kind == KindDFF && !through {
-				continue
-			}
-			stack = append(stack, n.Cells[s.Cell].Out)
-		}
-	}
-	return seen
-}

@@ -32,14 +32,6 @@ func (c *Counter) Value() int64 {
 // receivers are no-ops like Counter.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
 // Add moves the gauge by n (negative to decrement).
 func (g *Gauge) Add(n int64) {
 	if g == nil {

@@ -45,7 +45,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				name := names[(g+i)%len(names)]
 				reg.Counter(name).Add(1)
-				reg.Gauge("depth." + name).Set(int64(i))
+				reg.Gauge("depth." + name).Add(1)
 				reg.Histogram("lat." + name).Observe(time.Duration(i%1000) * time.Microsecond)
 			}
 		}(g)
@@ -121,7 +121,7 @@ func TestBucketOf(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Add(1)
-	reg.Gauge("x").Set(1)
+	reg.Gauge("x").Add(1)
 	reg.Histogram("x").Observe(time.Second)
 	if v := reg.Counter("x").Value(); v != 0 {
 		t.Fatalf("nil counter read %d", v)

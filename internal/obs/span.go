@@ -157,6 +157,7 @@ func (t *Trace) Add(name string, n int64) {
 }
 
 // Spans returns a copy of the closed span records (tests, debugging).
+// Test fixture of the obs, repair and service tests.
 func (t *Trace) Spans() []SpanRecord {
 	if t == nil {
 		return nil
@@ -196,7 +197,7 @@ type StageTrace struct {
 }
 
 // Stage returns the row for a stage name, or nil when the campaign never
-// entered it.
+// entered it. Test fixture of the obs and service tests.
 func (st *StageTrace) Stage(name string) *StageSpan {
 	if st == nil {
 		return nil

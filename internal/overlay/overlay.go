@@ -62,7 +62,7 @@ func Build(l *core.Layout, channels int) (*Plan, error) {
 	var names []string
 	for ci := range nl.Cells {
 		c := &nl.Cells[ci]
-		if c.Dead || c.Out == netlist.NilNet || nl.Nets[c.Out].Dead {
+		if c.Dead || c.Out == netlist.NilNet {
 			continue
 		}
 		names = append(names, nl.NetName(c.Out))
@@ -142,6 +142,7 @@ func (p *Plan) Covers(name string) bool {
 }
 
 // Channel returns the time-multiplex channel a net is assigned to.
+// Test fixture of the overlay and debug tests and BenchmarkProbeSwitch.
 func (p *Plan) Channel(name string) (int, bool) {
 	ch, ok := p.chanOf[name]
 	return ch, ok
@@ -165,14 +166,11 @@ func (p *Plan) NewSelector(l *core.Layout) *Selector {
 	return &Selector{plan: p, l: l, cur: make([]string, p.Channels)}
 }
 
-// Plan returns the immutable plan this selector configures.
-func (s *Selector) Plan() *Plan { return s.plan }
-
 // Reach reports whether a net can be observed through the overlay.
 func (s *Selector) Reach(name string) bool { return s.plan.Covers(name) }
 
 // Selected returns the currently observed net of every channel
-// ("" = parked).
+// ("" = parked). Test fixture of the overlay and debug tests.
 func (s *Selector) Selected() []string { return append([]string(nil), s.cur...) }
 
 // Partition splits a request into conflict-free time-multiplex batches

@@ -41,7 +41,7 @@ func TestBuildCoversEveryLiveOutput(t *testing.T) {
 	covered := 0
 	for ci := range l.NL.Cells {
 		c := &l.NL.Cells[ci]
-		if c.Dead || c.Out == netlist.NilNet || l.NL.Nets[c.Out].Dead {
+		if c.Dead || c.Out == netlist.NilNet {
 			continue
 		}
 		name := l.NL.NetName(c.Out)
@@ -86,7 +86,7 @@ func TestCloneInheritsTrunkWiring(t *testing.T) {
 	}
 	// The shared plan binds selectors to any clone.
 	sel := p.NewSelector(cl)
-	if sel.Plan() != p {
+	if sel.plan != p {
 		t.Fatal("selector lost its plan")
 	}
 }

@@ -2,7 +2,6 @@ package pack
 
 import (
 	"fmt"
-	"sort"
 
 	"fpgadbg/internal/netlist"
 )
@@ -196,41 +195,6 @@ func (p *Packed) Check() error {
 		}
 	}
 	return nil
-}
-
-// NetCLBs returns, for every net, the sorted set of distinct CLBs touching
-// it (driver plus sinks). Nets confined to one CLB need no inter-block
-// routing.
-func (p *Packed) NetCLBs() map[netlist.NetID][]int {
-	nl := p.NL
-	touch := make(map[netlist.NetID]map[int]bool)
-	add := func(net netlist.NetID, clb int) {
-		if touch[net] == nil {
-			touch[net] = make(map[int]bool)
-		}
-		touch[net][clb] = true
-	}
-	for ci := range nl.Cells {
-		c := &nl.Cells[ci]
-		if c.Dead {
-			continue
-		}
-		clb := p.CellCLB[netlist.CellID(ci)]
-		add(c.Out, clb)
-		for _, f := range c.Fanin {
-			add(f, clb)
-		}
-	}
-	out := make(map[netlist.NetID][]int, len(touch))
-	for net, set := range touch {
-		list := make([]int, 0, len(set))
-		for clb := range set {
-			list = append(list, clb)
-		}
-		sort.Ints(list)
-		out[net] = list
-	}
-	return out
 }
 
 // Stats summarizes a packing.

@@ -99,19 +99,6 @@ func TestFFOverflowToOtherCLB(t *testing.T) {
 	}
 }
 
-func TestNetCLBs(t *testing.T) {
-	n := fullAdder(t)
-	p, err := Pack(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nets := p.NetCLBs()
-	a, _ := n.NetByName("a")
-	if len(nets[a]) != 1 {
-		t.Fatalf("net a touches %v", nets[a])
-	}
-}
-
 func TestPairingPrefersSharedFanins(t *testing.T) {
 	// Two disjoint pairs of LUTs; each pair shares both inputs. The pairs
 	// must land in separate CLBs with perfect sharing.

@@ -96,7 +96,7 @@ func TestOracleStreamsMatchRunTrace(t *testing.T) {
 								}
 							}
 							for k, n := range nets {
-								if got, want := goldenBit(cols[k], s), tr.ProbeValW(s, k, w); got != want {
+								if got, want := goldenBit(cols[k], s), tr.ProbeVals[(s*tr.NumProbes+k)*tr.Width+w]; got != want {
 									t.Fatalf("width %d stim %d step %d net %s word %d: oracle %#x, replay %#x",
 										width, si, s, n, w, got, want)
 								}

@@ -197,10 +197,6 @@ func NewEngine(golden, impl *sim.Machine) (*Engine, error) {
 // NewEngine gives it.
 func (e *Engine) SetOracle(o *Oracle) { e.oracle = o }
 
-// Netlist returns the implementation netlist candidates are enumerated
-// from.
-func (e *Engine) Netlist() *netlist.Netlist { return e.impl.Netlist() }
-
 // NumPIs returns the stimulus column count (golden primary inputs).
 func (e *Engine) NumPIs() int { return len(e.piNames) }
 
@@ -253,6 +249,8 @@ func permuteTT(tt uint16, k, a, b int) uint16 {
 // are dropped, and candidates of one cell are deduplicated by resulting
 // table (first kind wins, in BitFlip < PinSwap < Resynth order). The
 // result is deterministic: suspects are processed in sorted order.
+// Only tests call this raw-stimulus entry: it feeds the differential oracle
+// pair Validate/SerialValidate (TestValidateMatchesSerial*).
 func (e *Engine) Enumerate(suspects []string, obsStim [][]uint64) ([]Candidate, error) {
 	st, err := e.named(obsStim)
 	if err != nil {
@@ -336,6 +334,8 @@ func (e *Engine) enumerate(suspects []string, obs *stimulus) ([]Candidate, error
 // live LUTs on both sides, or whose golden pin count differs, are
 // skipped; the result is deterministic (suspects processed in sorted
 // order, pins ascending).
+// Differential oracle for wiring repair, with SearchRewires
+// (TestEnumerateRewiresSkipsHealthy).
 func (e *Engine) EnumerateRewires(suspects []string) []Candidate {
 	names := append([]string(nil), suspects...)
 	sort.Strings(names)
@@ -377,6 +377,8 @@ func (e *Engine) EnumerateRewires(suspects []string) []Candidate {
 // remains. Rewire candidate lists are tiny (one per misrouted pin), so
 // the serial cost is a handful of replays. detStim must excite the
 // error, mirroring Search.
+// It is the differential oracle for wiring repair
+// (TestSearchRewiresFixesMisroute, TestSearchRewiresFixesBridgeFault).
 func (e *Engine) SearchRewires(suspects []string, detStim [][]uint64, cfg Config) (*Outcome, error) {
 	cfg = cfg.withDefaults()
 	cands := e.EnumerateRewires(suspects)

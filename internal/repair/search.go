@@ -88,6 +88,9 @@ type Outcome struct {
 // must be broadcast scalar stimulus (ErrNotBroadcast otherwise). alive[i]
 // reports that candidate i's lanes never diverged from the golden
 // stream. onBatch may be nil.
+// Only tests call this raw-stimulus entry: it is the lane side of the
+// differential oracle pair with SerialValidate
+// (TestValidateMatchesSerial*).
 func (e *Engine) Validate(cands []Candidate, stim [][]uint64, onBatch func(done, total int) error) (alive []bool, batches int, err error) {
 	gt, err := e.streams(stim, e.poNames)
 	if err != nil {
@@ -363,7 +366,8 @@ func (e *Engine) validateCone(gt [][]uint64, st *stimulus, cone *sim.Cone, masks
 // a time — per candidate: clone the implementation netlist, apply the
 // repair, recompile, replay. It is the differential oracle for Validate
 // (surviving sets must be identical) and the baseline the lane-parallel
-// candidate-validation speedup is measured against.
+// candidate-validation speedup is measured against
+// (TestValidateMatchesSerial*, TestValidateConeMatchesFullAndSerial).
 func (e *Engine) SerialValidate(cands []Candidate, stim [][]uint64) ([]bool, error) {
 	gt := e.golden.Fork()
 	if err := gt.BindNames(e.piNames); err != nil {
@@ -447,6 +451,9 @@ func rankLess(a, b Candidate) bool {
 // remains by minimality. detStim must be broadcast scalar stimulus that
 // excites the error — Search returns ErrNotExcited otherwise, and the
 // caller falls back to its probe- or golden-based flow.
+// Only tests call this raw-stimulus entry (the product runs SearchBlocks):
+// the differential oracle the pinned search outcomes are recorded through
+// (TestSearchOutcomesPinned*, TestBroadcastGuard).
 func (e *Engine) Search(suspects []string, detStim [][]uint64, cfg Config) (*Outcome, error) {
 	det, err := e.named(detStim)
 	if err != nil {

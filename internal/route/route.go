@@ -227,13 +227,11 @@ func (r *Router) Charge(edges []EdgeID) {
 	}
 }
 
-// FixedUse exposes the accumulated fixed usage of the current pass
-// (indexed by EdgeID); callers must treat it as read-only.
-func (r *Router) FixedUse() []int16 { return r.fixed }
-
 // RouteAll routes every non-locked net with a fresh Router. It returns an
 // error when pins fall outside the allowed region or the graph, or when
 // congestion cannot be resolved within MaxIters.
+// It is the one-shot differential oracle for the persistent Router
+// (TestQuickRandomNets, TestRouterChargeMatchesFixedUse).
 func RouteAll(g *Grid, nets []*Net, opt Options) (*Result, error) {
 	return NewRouter(g).Route(nets, opt)
 }

@@ -431,7 +431,7 @@ func TestRouterChargeMatchesFixedUse(t *testing.T) {
 	}
 	// The pass accumulator must reset cleanly.
 	r.BeginPass()
-	for e, u := range r.FixedUse() {
+	for e, u := range r.fixed {
 		if u != 0 {
 			t.Fatalf("edge %d still charged after BeginPass", e)
 		}

@@ -9,6 +9,7 @@ import (
 // CheckRoutes validates that every net's route is a connected tree
 // spanning its pins and that total usage (including fixedUse) respects
 // capacity. It is the router's externally checkable contract.
+// Differential oracle for every routing pass (TestQuickRandomNets).
 func CheckRoutes(g *Grid, nets []*Net, fixedUse []int16) error {
 	use := make([]int16, g.NumEdges())
 	if fixedUse != nil {
@@ -36,6 +37,7 @@ func CheckRoutes(g *Grid, nets []*Net, fixedUse []int16) error {
 
 // CheckTree validates a single net: the route's edges connect all pins in
 // one component and contain no cycle (edge count == node count - 1).
+// Differential oracle for one route (TestCheckTreeCatchesBadRoutes).
 func CheckTree(g *Grid, n *Net) error {
 	pins := dedupePins(g, n.Pins)
 	if len(pins) < 2 {
@@ -122,6 +124,8 @@ func SplitRoute(g *Grid, route []EdgeID, region device.RectSet) (inside, outside
 
 // UsageOf accumulates per-edge usage of the given nets (locked or not)
 // into a fresh table; used to build FixedUse for region re-routes.
+// Differential oracle for the router's charged usage
+// (TestRouterChargeMatchesFixedUse).
 func UsageOf(g *Grid, nets []*Net) []int16 {
 	use := make([]int16, g.NumEdges())
 	for _, n := range nets {

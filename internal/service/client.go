@@ -87,7 +87,7 @@ func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 	return st, err
 }
 
-// List fetches every campaign.
+// List fetches every campaign. Test fixture (TestHTTPRoundTrip).
 func (c *Client) List(ctx context.Context) ([]Status, error) {
 	var out []Status
 	err := c.do(ctx, http.MethodGet, "/campaigns", nil, &out)
@@ -95,6 +95,7 @@ func (c *Client) List(ctx context.Context) ([]Status, error) {
 }
 
 // Trace fetches a finished campaign's per-stage telemetry.
+// Test fixture (TestHTTPTraceEndpoint).
 func (c *Client) Trace(ctx context.Context, id string) (*obs.StageTrace, error) {
 	var st obs.StageTrace
 	if err := c.do(ctx, http.MethodGet, "/campaigns/"+id+"/trace", nil, &st); err != nil {
@@ -103,7 +104,7 @@ func (c *Client) Trace(ctx context.Context, id string) (*obs.StageTrace, error) 
 	return &st, nil
 }
 
-// Cancel stops a campaign.
+// Cancel stops a campaign. Test fixture (TestHTTPCancelAndMetrics).
 func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/campaigns/"+id+"/cancel", nil, nil)
 }

@@ -81,7 +81,7 @@ func (p *layoutPool) checkin(l *core.Layout, lease core.Checkpoint) {
 	p.mu.Unlock()
 }
 
-// stats returns the pool counters.
+// stats returns the pool counters. Test fixture.
 func (p *layoutPool) stats() (clones, reuses int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -666,9 +666,11 @@ func (s *Service) startWorkers() {
 }
 
 // Cache exposes the artifact cache (stats, pre-warming in tests).
+// Test fixture.
 func (s *Service) Cache() *Cache { return s.cache }
 
 // Registry exposes the service's metrics registry (nil with NoTelemetry).
+// Test fixture.
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
 // Submit validates and enqueues a campaign, returning its ID.

@@ -73,6 +73,9 @@ func EquivalentMachines(ma, mb *Machine, words, cycles int, seed int64) (*Mismat
 
 // ExhaustiveEquivalent compares two purely combinational designs on every
 // input assignment; the common PI count must be at most 20.
+// It is the differential oracle for technology mapping and fault injection
+// (synth TestTechMapEquivalenceCombinational, faults
+// TestEachKindChangesBehaviour).
 func ExhaustiveEquivalent(a, b *netlist.Netlist) (*Mismatch, error) {
 	pis := a.SortedPINames()
 	pos := a.SortedPONames()

@@ -25,6 +25,8 @@ type ReferenceMachine struct {
 
 // CompileReference levelizes the netlist and returns a ready-to-run
 // interpreter in the reset state.
+// It is the differential oracle for the compiled program
+// (TestRunTraceMatchesStepOnCatalog).
 func CompileReference(nl *netlist.Netlist) (*ReferenceMachine, error) {
 	order, err := nl.TopoOrder()
 	if err != nil {
@@ -91,6 +93,7 @@ func (m *ReferenceMachine) Clock() {
 }
 
 // Step is the map-based SetPIs → Eval → Clock cycle.
+// Part of the CompileReference differential oracle.
 func (m *ReferenceMachine) Step(in map[string]uint64) (map[string]uint64, error) {
 	for name, w := range in {
 		id, ok := m.nl.NetByName(name)
@@ -112,7 +115,7 @@ func (m *ReferenceMachine) Step(in map[string]uint64) (map[string]uint64, error)
 }
 
 // StateWords exposes the current flip-flop state (one word per DFF in
-// compile order).
+// compile order). Part of the CompileReference differential oracle.
 func (m *ReferenceMachine) StateWords() []uint64 {
 	return append([]uint64(nil), m.state...)
 }

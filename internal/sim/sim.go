@@ -415,11 +415,6 @@ func (m *Machine) Eval() {
 	}
 }
 
-// Clock latches every DFF's D input into its state. Callers should have
-// called Eval first; the usual cycle is load inputs → Eval → read
-// outputs → Clock, which RunTrace performs per stimulus row.
-func (m *Machine) Clock() { m.clock() }
-
 // clock is Clock reporting whether the edge changed any state word: the
 // OR of old^new over every latched word, zero when the state held. The
 // fold is branch-free so the latch loop costs the same whether or not the
@@ -479,6 +474,8 @@ func (m *Machine) SetOverride(id netlist.NetID, w uint64) error {
 }
 
 // ClearOverride removes one net from the override list.
+// Differential oracle for a lane fault's window edge: an override switched
+// off mid-trace (TestWindowedLaneFaultInsideHold).
 func (m *Machine) ClearOverride(id netlist.NetID) {
 	if m.ovIdx == nil || int(id) < 0 || int(id) >= len(m.ovIdx) {
 		return
@@ -495,47 +492,6 @@ func (m *Machine) ClearOverride(id netlist.NetID) {
 	m.ovNets = m.ovNets[:last]
 	m.ovVal = m.ovVal[:int(last)*W]
 	m.ovIdx[id] = -1
-}
-
-// ClearOverrides removes every override.
-func (m *Machine) ClearOverrides() {
-	for _, net := range m.ovNets {
-		m.ovIdx[net] = -1
-	}
-	m.ovNets = m.ovNets[:0]
-	m.ovVal = m.ovVal[:0]
-}
-
-// Overridden reports whether a net is on the override list, and its
-// (lane word 0) pinned word.
-func (m *Machine) Overridden(id netlist.NetID) (uint64, bool) {
-	if m.ovIdx == nil || int(id) < 0 || int(id) >= len(m.ovIdx) || m.ovIdx[id] < 0 {
-		return 0, false
-	}
-	return m.ovVal[int(m.ovIdx[id])*m.width], true
-}
-
-// OutputsInto writes every primary output lane vector into dst — PO i's
-// Width() words at dst[i*Width():(i+1)*Width()], in PONames order — and
-// returns it, reusing dst's capacity when it suffices. In steady state
-// the call performs zero allocations.
-func (m *Machine) OutputsInto(dst []uint64) []uint64 {
-	W := m.width
-	need := len(m.pos) * W
-	if cap(dst) < need {
-		dst = make([]uint64, need)
-	}
-	dst = dst[:need]
-	if W == 1 {
-		for i, po := range m.pos {
-			dst[i] = m.val[po]
-		}
-		return dst
-	}
-	for i, po := range m.pos {
-		copy(dst[i*W:(i+1)*W], m.val[int(po)*W:int(po)*W+W])
-	}
-	return dst
 }
 
 // StateWords exposes the current flip-flop state — Width() words per DFF

@@ -93,6 +93,9 @@ func (m *Machine) ClearProbes() { m.probes = nil }
 // CaptureState toggles recording of the flip-flop state stream into
 // Trace.States (one word per DFF per cycle, sampled after the clock edge,
 // matching StateWords after Eval and Clock).
+// Differential oracle hook: only tests record state, to hold a trace
+// against the reference interpreter and narrow machines
+// (TestWideIdentityOnCatalog).
 func (m *Machine) CaptureState(on bool) { m.captureState = on }
 
 // POCols resolves primary output names to Trace column indices.
@@ -146,15 +149,12 @@ func (t *Trace) OutW(cycle, po, w int) uint64 { return t.Outs[(cycle*t.NumPOs+po
 // ProbeVal returns lane word 0 of probed net p at the given cycle.
 func (t *Trace) ProbeVal(cycle, p int) uint64 { return t.ProbeVals[(cycle*t.NumProbes+p)*t.Width] }
 
-// ProbeValW returns lane word w of probed net p at the given cycle.
-func (t *Trace) ProbeValW(cycle, p, w int) uint64 {
-	return t.ProbeVals[(cycle*t.NumProbes+p)*t.Width+w]
-}
-
 // State returns lane word 0 of DFF i's post-edge state at the given cycle.
+// Differential oracle read-out (TestStateCaptureMatchesStateWords).
 func (t *Trace) State(cycle, i int) uint64 { return t.States[(cycle*t.NumState+i)*t.Width] }
 
 // StateW returns lane word w of DFF i's post-edge state.
+// Differential oracle read-out (TestWideIdentityOnCatalog).
 func (t *Trace) StateW(cycle, i, w int) uint64 { return t.States[(cycle*t.NumState+i)*t.Width+w] }
 
 // grow returns s with length n, reusing capacity when possible.

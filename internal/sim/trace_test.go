@@ -133,9 +133,9 @@ func TestStateCaptureMatchesStateWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var step Trace
 	for c := 0; c < 6; c++ {
-		m2.Eval()
-		m2.Clock()
+		m2.ResumeTraceInto(&step, make([][]uint64, 1)) // one cycle: Eval, then clock
 		sw := m2.StateWords()
 		for i := range sw {
 			if tr.State(c, i) != sw[i] {
@@ -195,10 +195,7 @@ func TestOverrideHonoredByExecutionCore(t *testing.T) {
 	if got := tr.ProbeVal(0, 0); got != ^uint64(0) {
 		t.Fatalf("overridden net reads %#x", got)
 	}
-	if w, ok := m.Overridden(x); !ok || w != ^uint64(0) {
-		t.Fatal("Overridden does not report the pinned word")
-	}
-	m.ClearOverrides()
+	m.ClearOverride(x)
 	// Overrides also pin primary inputs, beating bound stimulus.
 	if err := m.SetOverride(a, ^uint64(0)); err != nil {
 		t.Fatal(err)
@@ -228,31 +225,34 @@ func TestOverrideListMaintenance(t *testing.T) {
 	a, _ := n.NetByName("a")
 	b, _ := n.NetByName("b")
 	cin, _ := n.NetByName("cin")
+	if err := m.BindNames([]string{"a", "b", "cin"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Probe(a, b, cin); err != nil {
+		t.Fatal(err)
+	}
+	// pinned runs one cycle and reads back the three input nets.
+	stim := []uint64{0xF0, 0xF1, 0xF2}
+	pinned := func() [3]uint64 {
+		tr := m.RunTrace([][]uint64{stim})
+		return [3]uint64{tr.ProbeVal(0, 0), tr.ProbeVal(0, 1), tr.ProbeVal(0, 2)}
+	}
 	for _, id := range []netlist.NetID{a, b, cin} {
-		if err := m.SetOverride(id, uint64(id)+1); err != nil {
+		if err := m.SetOverride(id, uint64(id)+0x100); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.ClearOverride(a) // swap-delete must keep the other entries intact
-	if _, ok := m.Overridden(a); ok {
-		t.Fatal("cleared override still present")
-	}
-	for _, id := range []netlist.NetID{b, cin} {
-		if w, ok := m.Overridden(id); !ok || w != uint64(id)+1 {
-			t.Fatalf("override of net %d corrupted after unrelated clear", id)
-		}
+	if got, want := pinned(), [3]uint64{stim[0], uint64(b) + 0x100, uint64(cin) + 0x100}; got != want {
+		t.Fatalf("after clearing a: nets read %#x, want %#x", got, want)
 	}
 	if err := m.SetOverride(b, 7); err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := m.Overridden(b); w != 7 {
-		t.Fatal("re-SetOverride did not update the word")
+	if got, want := pinned(), [3]uint64{stim[0], 7, uint64(cin) + 0x100}; got != want {
+		t.Fatalf("re-SetOverride did not update the word: nets read %#x, want %#x", got, want)
 	}
 	if err := m.SetOverride(netlist.NetID(-1), 0); err == nil {
 		t.Fatal("override of invalid net should fail")
-	}
-	m.ClearOverrides()
-	if _, ok := m.Overridden(b); ok {
-		t.Fatal("ClearOverrides left an entry")
 	}
 }

@@ -247,9 +247,6 @@ func TestWideOverrideBroadcast(t *testing.T) {
 	if err := narrow.SetOverride(dID, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := wide.Overridden(dID); !ok || v != ^uint64(0) {
-		t.Fatalf("Overridden: %#x %v", v, ok)
-	}
 	stim := testgen.ScalarBlocks(2, 12, 3)
 	tw := wide.RunTrace(stim)
 	tn := narrow.RunTrace(stim)
@@ -284,53 +281,6 @@ func TestForkPreservesWidth(t *testing.T) {
 	for i := range ta.Outs {
 		if ta.Outs[i] != tb.Outs[i] {
 			t.Fatalf("fork trace diverges at out word %d", i)
-		}
-	}
-}
-
-// TestOutputsInto checks the allocation-free output snapshot against
-// trace reads, at width 1 and per word at width 4.
-func TestOutputsInto(t *testing.T) {
-	nl := laneTestNetlist(t)
-	m, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.BindNames([]string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	tr1 := m.RunTrace([][]uint64{{0xF0, 0xCC}})
-	flat := m.OutputsInto(nil)
-	if len(flat) != len(m.PONames()) {
-		t.Fatalf("OutputsInto length %d, want %d", len(flat), len(m.PONames()))
-	}
-	for i, name := range m.PONames() {
-		if flat[i] != tr1.Out(0, i) {
-			t.Fatalf("PO %q: OutputsInto %#x != trace %#x", name, flat[i], tr1.Out(0, i))
-		}
-	}
-	// Reuse: same backing array, no growth.
-	again := m.OutputsInto(flat)
-	if &again[0] != &flat[0] {
-		t.Fatal("OutputsInto reallocated despite sufficient capacity")
-	}
-
-	const W = 4
-	wm, err := CompileWidth(nl, W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim := testgen.RandomBlocks(2*W, 1, 13)
-	tr := wm.RunTrace(stim)
-	wide := wm.OutputsInto(nil)
-	if len(wide) != len(wm.PONames())*W {
-		t.Fatalf("wide OutputsInto length %d", len(wide))
-	}
-	for po := 0; po < tr.NumPOs; po++ {
-		for w := 0; w < W; w++ {
-			if wide[po*W+w] != tr.OutW(0, po, w) {
-				t.Fatalf("wide OutputsInto PO %d word %d != trace", po, w)
-			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func TestCrashDoubleRestart(t *testing.T) {
 	if _, err := d.Append(Record{Kind: KindSubmit, ID: "c777777", Spec: json.RawMessage(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
-	dir := d.Dir()
+	dir := d.dir
 	d.Close()
 	d2, err := OpenDisk(dir, DiskOptions{})
 	if err != nil {
@@ -185,12 +185,12 @@ func TestCrashBitRotNeverInventsRecords(t *testing.T) {
 		}
 		// Verify the surviving records are bit-identical to the originals.
 		d.Close()
-		d2, err := OpenDisk(d.Dir(), DiskOptions{})
+		d2, err := OpenDisk(d.dir, DiskOptions{})
 		if err != nil {
 			t.Fatalf("byte %d: reopen: %v", i, err)
 		}
 		j := 0
-		if _, err := scanJournal(filepath.Join(d2.Dir(), "journal"), false, func(r Record) {
+		if _, err := scanJournal(filepath.Join(d2.dir, "journal"), false, func(r Record) {
 			b, _ := json.Marshal(r)
 			if string(b) != wantJSON[j] {
 				t.Fatalf("byte %d: record %d content altered:\n  got  %s\n  want %s", i, j, b, wantJSON[j])

@@ -62,12 +62,14 @@ func segName(idx int) string { return fmt.Sprintf("%s%08d.wal", segPrefix, idx) 
 
 // SegName is the on-disk name of journal segment idx (1-based). Exported
 // for crash-injection harnesses that truncate or corrupt raw segments.
+// Test fixture (service TestPersistCrashAtEveryRecordBoundary).
 func SegName(idx int) string { return segName(idx) }
 
 // RecordBoundaries walks a raw segment buffer and returns every record
 // boundary offset, starting with 0. Decoding stops at the first torn or
 // corrupt record, so the last element is the clean-prefix length —
 // exactly the offsets a kill-at-every-record-boundary sweep wants.
+// Test fixture (service TestPersistCrashAtEveryRecordBoundary).
 func RecordBoundaries(buf []byte) []int {
 	bounds := []int{0}
 	off := 0
@@ -332,9 +334,6 @@ func (d *DiskStore) Close() error {
 	}
 	return err
 }
-
-// Dir returns the store's root directory.
-func (d *DiskStore) Dir() string { return d.dir }
 
 // syncDir fsyncs a directory so file creations and renames inside it
 // survive a crash. Best-effort: not every filesystem supports it.

@@ -22,6 +22,7 @@ type MemStore struct {
 }
 
 // NewMem builds an empty in-memory store.
+// Test fixture: the journal of the store and service tests.
 func NewMem() *MemStore {
 	return &MemStore{blobs: make(map[string][]byte)}
 }

@@ -143,10 +143,6 @@ func TestFoldLifecycle(t *testing.T) {
 			t.Errorf("campaign %s state = %s, want %s", cs.ID, cs.State, want[cs.ID])
 		}
 	}
-	req := rec.Requeue()
-	if len(req) != 2 || req[0].ID != "b" || req[1].ID != "c" {
-		t.Fatalf("requeue = %+v", req)
-	}
 	if ref, ok := rec.Blobs["netlist/9sym"]; !ok || ref.Digest != "ffff" || ref.Kind != "netlist" {
 		t.Fatalf("blob index = %+v", rec.Blobs)
 	}

@@ -75,17 +75,6 @@ type Recovery struct {
 	TornRecords int
 }
 
-// Requeue returns the non-terminal campaigns, in submit order.
-func (r *Recovery) Requeue() []CampaignState {
-	var out []CampaignState
-	for _, cs := range r.Campaigns {
-		if !cs.Terminal() {
-			out = append(out, cs)
-		}
-	}
-	return out
-}
-
 // Stats counts store activity since open.
 type Stats struct {
 	Records      int   `json:"records"`

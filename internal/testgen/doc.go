@@ -7,8 +7,7 @@
 // [][]uint64 where row c is one clock cycle and column j drives the j-th
 // bound input of a compiled sim.Machine (see sim.Bind). Blocks carry no
 // names, allocate nothing per cycle during replay, and are what every hot
-// path uses. The map-keyed variants (Random, Weighted, ...) are thin
-// wrappers kept for the name-based compatibility API; they draw from the
-// same random streams, so Random(pis, ...) and RandomBlocks(len(pis), ...)
-// produce identical words column for column.
+// path uses. Random, the one map-keyed variant, is a test fixture; it draws
+// from the same random stream, so Random(pis, ...) and
+// RandomBlocks(len(pis), ...) produce identical words column for column.
 package testgen

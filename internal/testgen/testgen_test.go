@@ -32,42 +32,19 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
-func TestWeightedBias(t *testing.T) {
-	pis := []string{"x"}
-	heavy := Weighted(pis, 50, 0.9, 1)
-	light := Weighted(pis, 50, 0.1, 1)
-	count := func(ps []map[string]uint64) int {
-		n := 0
-		for _, m := range ps {
-			w := m["x"]
-			for b := 0; b < 64; b++ {
-				if w&(1<<b) != 0 {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	h, l := count(heavy), count(light)
-	if h <= l*3 {
-		t.Fatalf("bias not visible: p=0.9 gave %d ones, p=0.1 gave %d", h, l)
-	}
-}
-
 func TestExhaustiveCoversAll(t *testing.T) {
-	pis := []string{"a", "b", "c"}
-	pats, err := Exhaustive(pis)
+	rows, err := ExhaustiveBlocks(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pats) != 1 {
-		t.Fatalf("8 patterns should fit one word, got %d", len(pats))
+	if len(rows) != 1 {
+		t.Fatalf("8 patterns should fit one word, got %d", len(rows))
 	}
 	seen := make(map[uint64]bool)
 	for p := uint64(0); p < 8; p++ {
 		var v uint64
-		for i := range pis {
-			if pats[0][pis[i]]&(1<<p) != 0 {
+		for i, w := range rows[0] {
+			if w&(1<<p) != 0 {
 				v |= 1 << i
 			}
 		}
@@ -77,61 +54,15 @@ func TestExhaustiveCoversAll(t *testing.T) {
 		t.Fatalf("only %d distinct assignments among first 8 patterns", len(seen))
 	}
 	// Width guard.
-	wide := make([]string, 21)
-	for i := range wide {
-		wide[i] = string(rune('a' + i))
-	}
-	if _, err := Exhaustive(wide); err == nil {
+	if _, err := ExhaustiveBlocks(21); err == nil {
 		t.Fatal("21 inputs accepted")
 	}
 	// Multi-word case.
-	seven := []string{"a", "b", "c", "d", "e", "f", "g"}
-	pats7, err := Exhaustive(seven)
+	rows7, err := ExhaustiveBlocks(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pats7) != 2 {
-		t.Fatalf("128 patterns should take 2 words, got %d", len(pats7))
-	}
-}
-
-func TestLFSRPeriodAndDeterminism(t *testing.T) {
-	l1 := NewLFSR(5)
-	l2 := NewLFSR(5)
-	seen := make(map[uint64]bool)
-	for i := 0; i < 200; i++ {
-		a, b := l1.Next(), l2.Next()
-		if a != b {
-			t.Fatal("same seed differs")
-		}
-		seen[a] = true
-	}
-	if len(seen) < 190 {
-		t.Fatalf("LFSR repeats too quickly: %d distinct of 200", len(seen))
-	}
-	z := NewLFSR(0)
-	if z.Next() == 0 {
-		t.Fatal("zero seed locked up")
-	}
-}
-
-func TestSequenceShape(t *testing.T) {
-	seq := Sequence([]string{"a", "b"}, 10, 3)
-	if len(seq) != 10 {
-		t.Fatalf("length %d", len(seq))
-	}
-	for _, m := range seq {
-		if len(m) != 2 {
-			t.Fatal("missing inputs")
-		}
-	}
-}
-
-func TestHoldingPinsValues(t *testing.T) {
-	pats := Holding([]string{"a", "sel"}, map[string]uint64{"sel": 0xffff}, 5, 2)
-	for _, m := range pats {
-		if m["sel"] != 0xffff {
-			t.Fatal("held input not held")
-		}
+	if len(rows7) != 2 {
+		t.Fatalf("128 patterns should take 2 words, got %d", len(rows7))
 	}
 }
