@@ -114,47 +114,6 @@ func BenchmarkSimTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkWideTrace measures the wide-word vector engine: the same
-// replay as BenchmarkSimTrace but compiled at width 8 (512 lanes), with
-// wide random stimulus so every lane word carries distinct patterns. The
-// denominator scales with the lane count, so ns/pattern-cycle is
-// directly comparable with BenchmarkSimTrace — the ratio is the vector
-// win the acceptance bar tracks.
-func BenchmarkWideTrace(b *testing.B) {
-	const W = 8
-	for _, name := range simBenchSet() {
-		b.Run(name, func(b *testing.B) {
-			info, err := bench.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mapped, err := experiments.Mapped(info)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := sim.CompileWidth(mapped, W)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pis := m.Netlist().SortedPINames()
-			if err := m.BindNames(pis); err != nil {
-				b.Fatal(err)
-			}
-			stim := testgen.RandomBlocks(len(pis)*W, simTraceCycles, 1)
-			var tr sim.Trace
-			m.RunTraceInto(&tr, stim)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.RunTraceInto(&tr, stim)
-			}
-			b.StopTimer()
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(perOp/float64(simTraceCycles*64*W), "ns/pattern-cycle")
-		})
-	}
-}
-
 // BenchmarkSimStep is the baseline: the same stimulus through the legacy
 // map-driven cover interpreter (per-cycle map allocation and string
 // hashing), for the trace-vs-step speedup the acceptance tracks.

@@ -168,8 +168,14 @@ func PairScan(prog *sim.Machine, ps []Pair, cfg ScanConfig) ([]PairScanResult, e
 }
 
 // PairScanStim is PairScan over an explicit broadcast stimulus sequence.
+// Like Scan it replays the golden design at width 1: diffTraceInto reads
+// only word 0 of the golden trace.
 func PairScanStim(prog *sim.Machine, ps []Pair, stim [][]uint64, onBatch func(done, total int) error) ([]PairScanResult, error) {
-	gt := prog.Fork().RunTrace(stim)
+	g, err := prog.ForkWidth(1)
+	if err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
+	}
+	gt := g.RunTrace(stim)
 	mu := prog.Fork()
 	batches := PairBatchesN(ps, prog.Lanes())
 	out := make([]PairScanResult, 0, len(ps))

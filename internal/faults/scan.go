@@ -323,14 +323,20 @@ func detectStim(prog *sim.Machine, fs []Fault, stim [][]uint64, onBatch func(don
 	return out, st, nil
 }
 
-// goldenRun replays stim on a golden fork of prog, summarizing its
-// activity, and returns the golden trace with the indices of the faults
-// the run excites — the only ones that need a lane. Every fault it drops
-// is still armed once on mu, so a fault the lane engine rejects fails
-// here just as it would in a batch.
+// goldenRun replays stim on a width-1 golden fork of prog, summarizing
+// its activity, and returns the golden trace with the indices of the
+// faults the run excites — the only ones that need a lane. The stimulus
+// is broadcast, so every lane word of a wider golden replay would repeat
+// word 0, the only one firstDivergence and diffTraceInto read. Every
+// fault it drops is still armed once on mu, so a fault the lane engine
+// rejects fails here just as it would in a batch.
 func goldenRun(prog, mu *sim.Machine, fs []Fault, stim [][]uint64) (*sim.Trace, []int, error) {
+	g, err := prog.ForkWidth(1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("faults: %w", err)
+	}
 	gt := new(sim.Trace)
-	act, err := prog.Fork().TraceActivity(gt, stim)
+	act, err := g.TraceActivity(gt, stim)
 	if err != nil {
 		return nil, nil, fmt.Errorf("faults: %w", err)
 	}

@@ -135,13 +135,18 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// TestWideScanMatchesNarrow runs the same universe scan on the seed
-// 64-lane program and on a width-4 (256-lane) lane-vector program
-// (sim.CompileWidth). Per-fault outcomes — detection, first-failure
-// cycle, signature — must be bit-identical, while the wide engine packs
-// four times the faults into each batch.
+// TestWideScanMatchesNarrow runs the same universe through Scan, Detect
+// and PairScan on the seed 64-lane program and on lane-vector programs
+// of widths 3, 4 and 8 (sim.CompileWidth). The mutants run at the
+// program's width while every width shares the width-1 golden replay, so
+// per-fault outcomes — detection, first-failure cycle, signature — must
+// be bit-identical to width 1, while the wide engine packs W times the
+// faults into each batch. styr is sequential: a lane word misaligned
+// between the wide mutant trace and the narrow golden one would show in
+// its state-dependent outputs. The 80-cycle stimulus runs Detect in both
+// of its phases.
 func TestWideScanMatchesNarrow(t *testing.T) {
-	for _, name := range []string{"9sym", "c880"} {
+	for _, name := range []string{"9sym", "c880", "styr"} {
 		t.Run(name, func(t *testing.T) {
 			info, err := bench.ByName(name)
 			if err != nil {
@@ -155,34 +160,64 @@ func TestWideScanMatchesNarrow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wide, err := sim.CompileWidth(mapped, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
 			u := Universe(mapped)
 			if len(u) > 6*64 {
 				u = u[:6*64] // several wide batches is plenty
 			}
-			cfg := ScanConfig{Patterns: 16, Cycles: 2, Seed: 7}
-			var nb, wb int
+			pu := PairUniverse(mapped, u, PairConfig{MaxPairs: 3 * 64, Seed: 5})
+			cfg := ScanConfig{Patterns: 40, Cycles: 2, Seed: 7}
+			if cfg.Patterns*cfg.Cycles <= 2*detectWindow {
+				t.Fatalf("stimulus too short for two Detect phases")
+			}
+			var nb int
 			ncfg := cfg
 			ncfg.OnBatch = func(done, total int) error { nb = total; return nil }
-			wcfg := cfg
-			wcfg.OnBatch = func(done, total int) error { wb = total; return nil }
 			nres, err := Scan(narrow, u, ncfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wres, err := Scan(wide, u, wcfg)
+			ndet, err := Detect(narrow, u, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertScanEqual(t, name, wres, nres, mapped)
-			if want := (len(u) + 255) / 256; wb != want {
-				t.Fatalf("wide batches = %d, want %d", wb, want)
+			npair, err := PairScan(narrow, pu, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if wb >= nb {
-				t.Fatalf("wide scan did not shrink batches: %d vs %d", wb, nb)
+			for _, w := range []int{3, 4, 8} {
+				wide, err := sim.CompileWidth(mapped, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wb int
+				wcfg := cfg
+				wcfg.OnBatch = func(done, total int) error { wb = total; return nil }
+				wres, err := Scan(wide, u, wcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertScanEqual(t, name, wres, nres, mapped)
+				if want := (len(u) + 64*w - 1) / (64 * w); wb != want {
+					t.Fatalf("W=%d: wide batches = %d, want %d", w, wb, want)
+				}
+				if wb >= nb {
+					t.Fatalf("W=%d: wide scan did not shrink batches: %d vs %d", w, wb, nb)
+				}
+				wdet, err := Detect(wide, u, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ndet {
+					if wdet[i] != ndet[i] {
+						t.Fatalf("%s W=%d fault %d (%s): Detect %+v != width 1 %+v",
+							name, w, i, u[i].Describe(mapped), wdet[i], ndet[i])
+					}
+				}
+				wpair, err := PairScan(wide, pu, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertPairScanEqual(t, name, wpair, npair, mapped)
 			}
 		})
 	}

@@ -334,7 +334,14 @@ func (r *run) session(implFP string) (*debug.Session, error) {
 	sess.Oracle = repair.NewOracle(oracleStore{r.s.cache}, r.ga.fp)
 	sess.SimWidth = spec.SimLanes / 64
 	sess.Obs = r.tr
-	sess.SetGoldenMachine(r.ga.mach.Fork())
+	// Detection, observation and the repair oracle read lane word 0 of
+	// the golden replay only, so the session's golden runs at width 1
+	// whatever sim_lanes the cached program was compiled at.
+	golden, err := r.ga.mach.ForkWidth(1)
+	if err != nil {
+		return nil, err
+	}
+	sess.SetGoldenMachine(golden)
 	sess.SetGoldenFingerprint(r.ga.fp)
 	sess.SetImplFingerprint(implFP)
 	sess.Progress = func(ev debug.Event) {

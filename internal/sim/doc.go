@@ -28,7 +28,12 @@
 // candidate repairs with no netlist clone and no recompilation.
 // CompileWidth widens the machine to W words per net (64·W lanes,
 // W ≤ MaxWidth); Compile is CompileWidth with W = 1, and ForkWidth forks
-// a compiled program at another width without recompiling it. Cone
+// a compiled program at another width without recompiling it. Width pays
+// off only for perturbed replays: an unperturbed machine under broadcast
+// stimulus repeats word 0 in every word, so golden replays fork the
+// program at width 1. Width 1 with nothing armed runs a scalar pass;
+// every other evaluation runs the stride-W pass with the per-node
+// perturbation hooks (exec.go). Cone
 // restricts a program to the fanout of a set of cells, closed through
 // flip-flops, and ResumeConeInto replays that cone alone from packed
 // boundary streams — everything outside it carries the unperturbed

@@ -17,10 +17,10 @@ import "fmt"
 func (m *Machine) Fork() *Machine { return m.fork(m.width) }
 
 // ForkWidth is Fork at another lane width: the fork shares the compiled
-// program and carries width words per net. Levelization, classification
-// and table expansion are width-independent, so one compile serves every
-// width; only the block evaluator's premultiplied offsets are rebuilt.
-// width must be in [1, MaxWidth].
+// program and carries width words per net. The compiled program is
+// width-independent, so one compile serves every width; only the
+// per-instance state is sized to the new width. width must be in
+// [1, MaxWidth].
 func (m *Machine) ForkWidth(width int) (*Machine, error) {
 	if width < 1 || width > MaxWidth {
 		return nil, fmt.Errorf("sim: lane width %d out of [1,%d]", width, MaxWidth)
@@ -37,8 +37,6 @@ func (m *Machine) fork(width int) *Machine {
 		ttab:       m.ttab,
 		covers:     m.covers,
 		buf:        make([]uint64, len(m.buf)),
-		fanB:       m.fanB,
-		outB:       m.outB,
 		levelOffN:  m.levelOffN,
 		dffD:       m.dffD,
 		dffQ:       m.dffQ,
@@ -52,21 +50,21 @@ func (m *Machine) fork(width int) *Machine {
 		state:      make([]uint64, len(m.dffQ)*width),
 		bound:      append([]int32(nil), m.pis...),
 	}
-	if width != m.width {
-		f.fanB, f.outB = nil, nil
-		f.buildBlockOffsets()
-	}
 	f.Reset()
 	return f
 }
+
+// nodeBytes is the size of one compiled node: four int32 fields, the
+// uint8 opcode and the uint16 truth table, padded to 4-byte alignment.
+const nodeBytes = 20
 
 // MemoryFootprint estimates the machine's resident bytes (compiled
 // program plus per-instance state); the campaign service's artifact cache
 // charges cached programs against its byte budget with it.
 func (m *Machine) MemoryFootprint() int64 {
 	b := int64(256)
-	b += int64(len(m.nodes)) * 24
-	b += int64(len(m.fanin)+len(m.fanB)+len(m.outB)) * 4
+	b += int64(len(m.nodes)) * nodeBytes
+	b += int64(len(m.fanin)) * 4
 	b += int64(len(m.ttab)) * 8
 	for i := range m.covers {
 		b += 32 + int64(len(m.covers[i].Cubes))*16

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -117,5 +118,13 @@ func TestForkConcurrent(t *testing.T) {
 		if bad {
 			t.Fatalf("concurrent fork %d diverged", w)
 		}
+	}
+}
+
+// TestMemoryFootprintNodeSize pins the per-node charge MemoryFootprint
+// bills the artifact cache to the compiled node's real size.
+func TestMemoryFootprintNodeSize(t *testing.T) {
+	if got := reflect.TypeOf(node{}).Size(); got != nodeBytes {
+		t.Fatalf("node is %d bytes, MemoryFootprint charges %d", got, nodeBytes)
 	}
 }

@@ -27,22 +27,6 @@ func expandTT(tt uint16, k int) []uint64 {
 	return out
 }
 
-// pairBits compresses a pair table to one bit per word. Every expanded
-// word is a broadcast — 0 or all-ones — so the whole table of a k-input
-// LUT is 2^k bits, which fits the node's 16-bit msk field even at k = 4.
-// The block evaluators rebuild the table with register arithmetic
-// (kernels4.go) instead of streaming it from memory, which removes the
-// pair-table array from the hot path's cache footprint entirely.
-func pairBits(tt uint16, k int) uint16 {
-	var pb uint16
-	for i, w := range expandTT(tt, k) {
-		if w != 0 {
-			pb |= 1 << uint(i)
-		}
-	}
-	return pb
-}
-
 // evalTab1 evaluates a 1-input LUT from its 2-word pair table.
 func evalTab1(t []uint64, a uint64) uint64 {
 	return t[0] ^ (a & t[1])

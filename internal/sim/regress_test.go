@@ -6,9 +6,8 @@ package sim
 // differential oracle) and through the compiled RunTrace path, asserting
 // bit-identical primary-output and DFF-state streams. The raw
 // (pre-mapping) designs exercise the generic cover kernel alongside the
-// specialized small-k truth-table kernels; a synthetic netlist of
-// unclassifiable single-fanout LUT chains covers the generic opTT*
-// kernels the catalog's classified compiles never reach.
+// small-k truth-table kernels; a synthetic netlist of single-fanout LUT
+// chains adds irregular 3- and 4-input tables.
 
 import (
 	"testing"
@@ -53,23 +52,22 @@ func holdWithTail(rows [][]uint64, hold int) [][]uint64 {
 	return stim
 }
 
-// TestRunTraceMatchesStepOnUnclassifiedChains runs the reference
-// differential on chains of LUTs the truth-table classifier rejects, so
-// both ends of each chain compile to generic opTT* kernels.
-func TestRunTraceMatchesStepOnUnclassifiedChains(t *testing.T) {
-	tt4 := unclassifiableTT(t, 4)
-	tt3 := unclassifiableTT(t, 3)
+// TestRunTraceMatchesStepOnLUTChains runs the reference differential on
+// chains of single-fanout LUTs with irregular full-support tables — no
+// parity, chain, tree, mux or majority shape — at k = 3 and 4.
+func TestRunTraceMatchesStepOnLUTChains(t *testing.T) {
+	const tt4, tt3 = 0x0116, 0x0016
 
 	nl := netlist.New("unclassified-chains")
 	a, b := nl.AddPI("a"), nl.AddPI("b")
 	c, d := nl.AddPI("c"), nl.AddPI("d")
-	// Chain 1: unclassifiable 4-input head feeding a single inverter.
+	// Chain 1: 4-input head feeding a single inverter.
 	h1 := nl.AddNet("h1")
 	o1 := nl.AddNet("o1")
 	nl.MustAddLUT("head4", coverFromTT(tt4, 4), []netlist.NetID{a, b, c, d}, h1)
 	nl.MustAddLUT("tail1", logic.NotN(), []netlist.NetID{h1}, o1)
 	nl.MarkPO(o1)
-	// Chain 2: unclassifiable 3-input head whose tail shares its support.
+	// Chain 2: 3-input head whose tail shares its support.
 	h2 := nl.AddNet("h2")
 	o2 := nl.AddNet("o2")
 	nl.MustAddLUT("head3", coverFromTT(tt3, 3), []netlist.NetID{a, b, c}, h2)
@@ -82,7 +80,7 @@ func TestRunTraceMatchesStepOnUnclassifiedChains(t *testing.T) {
 	}
 	for _, n := range m.nodes {
 		if n.op < opTT1 || n.op > opTT4 {
-			t.Fatalf("LUT driving net %d lowered to opcode %d, want a generic opTT* kernel", n.out, n.op)
+			t.Fatalf("LUT driving net %d lowered to opcode %d, want an opTT* kernel", n.out, n.op)
 		}
 	}
 	cols := len(nl.SortedPINames())
@@ -166,37 +164,6 @@ func checkTraceMatchesReference(t *testing.T, nl *netlist.Netlist, W int, stim [
 			}
 		}
 	}
-}
-
-// unclassifiableTT finds a truth table of arity k that depends on every
-// input yet is rejected by the truth-table classifier, so it compiles to
-// a generic opTT* kernel.
-func unclassifiableTT(t *testing.T, k int) uint16 {
-	t.Helper()
-	n := 1 << uint(k)
-	mask := uint32(1)<<uint(n) - 1
-	for v := uint32(0); v <= mask; v++ {
-		if _, _, ok := classifyTT(uint16(v), k); ok {
-			continue
-		}
-		full := true
-		for j := 0; j < k && full; j++ {
-			// Some minterm pair differing only in pin j must disagree.
-			dep := false
-			for m := 0; m < n; m++ {
-				if m>>uint(j)&1 == 0 && v>>uint(m)&1 != v>>uint(m|1<<uint(j))&1 {
-					dep = true
-					break
-				}
-			}
-			full = dep
-		}
-		if full {
-			return uint16(v)
-		}
-	}
-	t.Fatalf("no unclassifiable full-support table of arity %d", k)
-	return 0
 }
 
 // coverFromTT builds a minterm cover for an explicit truth table, bit m

@@ -18,22 +18,6 @@ const (
 	opTT3                // 3-input truth-table kernel
 	opTT4                // 4-input truth-table kernel
 	opCover              // generic cover evaluation (k > 4)
-
-	// Classified table-free kernels (see classify.go): the compile-time
-	// truth-table classifier lowers parity functions, read-once AND/XOR
-	// chains and trees, and 2:1 muxes to register-only arithmetic decoded
-	// from node.msk. Classified nodes keep their pair table (aux/tt), so
-	// the hooked pass and lane patches treat them like opTT* nodes.
-	opXor2   // 2-input parity, optional complement
-	opXor3   // 3-input parity
-	opXor4   // 4-input parity
-	opChain2 // 2-input read-once AND/XOR chain with complements
-	opChain3 // 3-input chain
-	opChain4 // 4-input chain
-	opTree4  // 4-input balanced read-once tree
-	opMux3   // 2:1 mux (s ? a : b) with complements
-	opMaj3   // 3-input majority with complements
-	opSplit4 // 4-input: one pin AND/XOR-chained onto a 3-input register table
 )
 
 // MaxWidth bounds the lane-vector width: up to MaxWidth 64-pattern words
@@ -48,7 +32,6 @@ type node struct {
 	aux   int32  // opTT*: start in ttab; opCover: index into covers
 	op    uint8  // kernel opcode
 	tt    uint16 // raw truth table (opConst: bit 0 is the constant)
-	msk   uint16 // classified-kernel descriptor (see classify.go)
 }
 
 // Machine is a compiled simulator instance for one netlist. Every net
@@ -62,16 +45,9 @@ type Machine struct {
 	// Compiled program.
 	nodes  []node
 	fanin  []int32       // CSR-packed fanin net indices for all nodes
-	ttab   []uint64      // broadcast pair tables of all opTT* and classified kernels
+	ttab   []uint64      // broadcast pair tables of all opTT* kernels
 	covers []logic.Cover // functions of opCover nodes
 	buf    []uint64      // scratch fanin gather for opCover kernels
-
-	// Premultiplied block-path offsets (widths divisible by four only):
-	// a copy of the fanin CSR and the node output nets with the *W
-	// already baked in, so the block evaluator's dispatch loop loads a
-	// ready word offset instead of paying a multiply per operand.
-	fanB []int32
-	outB []int32 // per node
 
 	// levelOffN holds the level boundaries of the level-major node
 	// schedule; windowed lane faults map a node to its level with it.
@@ -171,13 +147,11 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 	netLevel := make([]int32, len(nl.Nets))
 	var luts []netlist.CellID
 	maxLevel := int32(0)
-	// Per-cell lowering decision: opcode, classified-kernel descriptor and
-	// 16-bit truth table, computed once here so the schedule sort below can
-	// key on the final opcode.
+	// Per-cell lowering decision: opcode and 16-bit truth table, computed
+	// once here so the schedule sort below can key on the opcode.
 	type lowered struct {
-		op  uint8
-		msk uint16
-		w4  uint16
+		op uint8
+		w4 uint16
 	}
 	low := make([]lowered, len(nl.Cells))
 	for _, id := range order {
@@ -218,14 +192,6 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 			}
 			low[id].op = opConst + uint8(k) // opTT1..opTT4
 			low[id].w4 = w4
-			if op, msk, ok := classifyTT(w4, k); ok {
-				low[id].op = op
-				low[id].msk = msk
-			} else {
-				// Unclassified table kernels carry the compressed pair table
-				// so the block evaluators can rebuild it in registers.
-				low[id].msk = pairBits(w4, k)
-			}
 		default:
 			low[id].op = opCover
 		}
@@ -252,7 +218,6 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 			nin:   int32(len(c.Fanin)),
 			aux:   -1,
 			op:    low[id].op,
-			msk:   low[id].msk,
 			tt:    low[id].w4,
 		}
 		for _, f := range c.Fanin {
@@ -267,9 +232,6 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 				maxFanin = len(c.Fanin)
 			}
 		default:
-			// Table kernels and classified kernels alike carry the expanded
-			// pair table: the hooked pass and lane patches read it
-			// regardless of the fast-path opcode.
 			n.aux = int32(len(m.ttab))
 			m.ttab = append(m.ttab, expandTT(n.tt, len(c.Fanin))...)
 		}
@@ -315,32 +277,10 @@ func CompileWidth(nl *netlist.Netlist, width int) (*Machine, error) {
 		m.pos = append(m.pos, int32(po))
 		m.poNames = append(m.poNames, nl.Nets[po].Name)
 	}
-	m.buildBlockOffsets()
 	// Default binding: every PI, in sorted-name order.
 	m.bound = append([]int32(nil), m.pis...)
 	m.Reset()
 	return m, nil
-}
-
-// buildBlockOffsets bakes the value-plane stride into a per-pin copy of
-// the fanin CSR and per-node output offsets for the block evaluator:
-// net i's lane vector lives at val[i*W : (i+1)*W], and widths divisible
-// by four dispatch through exec.go's block path, which addresses blocks
-// as val[fanB[pin]+x] with no multiply in the hot loop. Other widths
-// never consult these arrays.
-func (m *Machine) buildBlockOffsets() {
-	if m.width%4 != 0 {
-		return
-	}
-	W := int32(m.width)
-	m.fanB = make([]int32, len(m.fanin))
-	for i, f := range m.fanin {
-		m.fanB[i] = f * W
-	}
-	m.outB = make([]int32, len(m.nodes))
-	for i := range m.nodes {
-		m.outB[i] = m.nodes[i].out * W
-	}
 }
 
 // Netlist returns the compiled design.
@@ -401,17 +341,10 @@ func (m *Machine) Eval() {
 			m.applyPreMut(pm)
 		}
 	}
-	switch {
-	case len(m.mutNodes) != 0 || len(m.patchNodes) != 0 || len(m.ovNets) != 0:
+	if W > 1 || len(m.mutNodes) != 0 || len(m.patchNodes) != 0 || len(m.ovNets) != 0 {
 		m.evalHookedRange()
-	case W == 1:
+	} else {
 		m.evalPlainRange1()
-	case W%4 == 0:
-		m.evalPlainRangeB()
-	default:
-		// No block kernels at this width: with no hook armed, the hooked
-		// pass is the plain stride-W pass.
-		m.evalHookedRange()
 	}
 }
 
